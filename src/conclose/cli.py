@@ -4,7 +4,8 @@ Subcommands mirror the library: solve, oracle, keys, closure, coatoms,
 analyze, generate, bench. Output is plain text by default or JSON with
 --format json; the generate command always emits the instance text
 format. Exit codes: 0 on success, 1 on any error, 2 when an
-enumeration hit its output cap and the results are incomplete.
+enumeration hit its output cap and the results are incomplete. Usage
+errors exit 1 too, so 2 always means partial output.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .analysis import analyze
 from .closure import close, co_atoms
@@ -39,31 +39,8 @@ from .keys import augment_with_inconsistency, enumerate_keys
 from .solver import brute_force_solve, solve
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, decoupled from argparse."""
-
-    command: str
-    format: str = "text"
-    instance: str | None = None
-    set_arg: str | None = None
-    limit_ground: int = EXHAUSTIVE_LIMIT
-    cap_keys: int = KEY_CAP
-    cap_mis: int = MIS_CAP
-    seed: int = 0
-    family: str | None = None
-    n: int = 3
-    imps: int = 10
-    max_premise: int = 3
-    edges: int = 3
-    dim: int = 2
-    cnf_path: str | None = None
-    reduce: bool = False
-    output: str | None = None
-
-
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -74,119 +51,116 @@ def _labels(sets) -> list[list[str]]:
     return [list(s.labels()) for s in sets]
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    base, graph = load_instance(config.instance)
-    result = solve(base, graph, key_cap=config.cap_keys, mis_cap=config.cap_mis)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    base, graph = load_instance(args.instance)
+    result = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
     stats = result.stats.to_dict()
     _emit(
-        config,
+        args,
         {"solutions": _labels(result.sets), "stats": stats},
         [s.to_text() for s in result.sets],
     )
-    if config.format == "text":
-        print(
-            "stats: keys={key_count} transversal_steps={transversal_steps}".format(**stats),
-            file=sys.stderr,
-        )
+    if args.format == "text":
+        print(f"stats: keys={stats['key_count']}", file=sys.stderr)
     return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    base, graph = load_instance(config.instance)
-    oracle = brute_force_solve(base, graph, limit=config.limit_ground)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    base, graph = load_instance(args.instance)
+    oracle = brute_force_solve(base, graph, limit=args.limit_ground)
     verdict = "unchecked"
     try:
-        fast = solve(base, graph, key_cap=config.cap_keys, mis_cap=config.cap_mis)
+        fast = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
     except ClosureError as exc:
         verdict = f"unchecked ({exc})"
     else:
         verdict = "agree" if tuple(fast.sets) == tuple(oracle.sets) else "disagree"
     _emit(
-        config,
+        args,
         {"solutions": _labels(oracle.sets), "agreement": verdict},
         [s.to_text() for s in oracle.sets] + [f"agreement: {verdict}"],
     )
     return 1 if verdict == "disagree" else 0
 
 
-def _cmd_keys(config: RunConfig) -> int:
-    base, graph = load_instance(config.instance)
+def _cmd_keys(args: argparse.Namespace) -> int:
+    base, graph = load_instance(args.instance)
     if graph.edges:
         base = augment_with_inconsistency(base, graph)
-    hyper = enumerate_keys(base, cap=config.cap_keys)
+    hyper = enumerate_keys(base, cap=args.cap_keys)
     _emit(
-        config,
+        args,
         {"count": len(hyper), "keys": _labels(hyper.keys)},
         hyper.serialize().splitlines(),
     )
     return 0
 
 
-def _cmd_closure(config: RunConfig) -> int:
-    base, _ = load_instance(config.instance)
-    labels = [t for t in (config.set_arg or "").split(",") if t]
+def _cmd_closure(args: argparse.Namespace) -> int:
+    base, _ = load_instance(args.instance)
+    labels = [t for t in args.set_arg.split(",") if t]
     try:
         subset = base.ground.set_of(*labels)
     except KeyError as exc:
         raise ClosureError(f"--set names {exc.args[0]}") from None
     result = close(base, subset)
     _emit(
-        config,
+        args,
         {"set": list(subset.labels()), "closure": list(result.labels())},
         [result.to_text()],
     )
     return 0
 
 
-def _cmd_coatoms(config: RunConfig) -> int:
-    base, _ = load_instance(config.instance)
+def _cmd_coatoms(args: argparse.Namespace) -> int:
+    base, _ = load_instance(args.instance)
     tops = co_atoms(
-        base, key_cap=config.cap_keys, mis_cap=config.cap_mis, limit=config.limit_ground
+        base, key_cap=args.cap_keys, mis_cap=args.cap_mis, limit=args.limit_ground
     )
-    _emit(config, {"coatoms": _labels(tops)}, [s.to_text() for s in tops])
+    _emit(args, {"coatoms": _labels(tops)}, [s.to_text() for s in tops])
     return 0
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    base, _ = load_instance(config.instance)
-    report = analyze(base, limit=config.limit_ground)
-    _emit(config, report.to_dict(), report.render_text().splitlines())
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    base, _ = load_instance(args.instance)
+    report = analyze(base, limit=args.limit_ground)
+    _emit(args, report.to_dict(), report.render_text().splitlines())
     return 0
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    family = config.family
+def _cmd_generate(args: argparse.Namespace) -> int:
+    family = args.family
     if family == "random":
         base, graph = gen_random(
-            config.n, config.imps, config.max_premise, config.edges, config.seed
+            args.n, args.imps, args.max_premise, args.edges, args.seed
         )
     elif family == "exponential":
-        base, graph = gen_exponential(config.n)
+        base, graph = gen_exponential(args.n)
     elif family == "cnf":
-        if not config.cnf_path:
+        if not args.cnf_path:
             raise ClosureError("the cnf family needs --cnf FILE")
-        with open(config.cnf_path, "r", encoding="utf-8") as fh:
+        with open(args.cnf_path, "r", encoding="utf-8") as fh:
             cnf = parse_dimacs_cnf(fh.read())
         base = gen_cnf_lower_bounded(cnf)
         graph = None
-        if config.reduce:
+        if args.reduce:
             base, graph = gen_reduction(base)
     elif family == "fano":
         base, graph = gen_fano(), None
     elif family == "gf2":
-        base, graph = gen_projective_gf2(config.dim), None
+        base, graph = gen_projective_gf2(args.dim), None
     else:
         raise ClosureError(f"unknown family {family!r}")
     text = format_instance(base, graph)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_bench(config: RunConfig) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     import random as _random
 
     from .core import ConsistencyGraph
@@ -195,7 +169,7 @@ def _cmd_bench(config: RunConfig) -> int:
     rows = []
 
     def record(family: str, param: str, base, graph) -> None:
-        result = solve(base, graph, key_cap=config.cap_keys, mis_cap=config.cap_mis)
+        result = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
         rows.append(
             (
                 family,
@@ -214,17 +188,17 @@ def _cmd_bench(config: RunConfig) -> int:
         base, graph = gen_exponential(n)
         record("exponential", f"n={n}", base, graph)
     for i in range(5):
-        seed = config.seed + i
+        seed = args.seed + i
         base, graph = gen_random(8, 10, 3, 5, seed)
         record("random", f"seed={seed}", base, graph)
     for i in range(3):
-        seed = config.seed + i
+        seed = args.seed + i
         rng = _random.Random(seed)
         clauses = tuple(tuple(sorted(rng.sample(range(1, 5), 3))) for _ in range(3))
         base, graph = gen_reduction(gen_cnf_lower_bounded(CnfFormula(4, clauses)))
         record("cnf_reduction", f"seed={seed}", base, graph)
     for i in range(3):
-        seed = config.seed + i
+        seed = args.seed + i
         poset = gen_random_poset(7, seed)
         base = gen_poset_convexity(poset)
         rng = _random.Random(seed + 1000)
@@ -250,14 +224,21 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command. Raises package errors; main() maps them to
-    exit codes."""
-    return _COMMANDS[config.command](config)
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error; here 2 means incomplete results.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conclose",
         description="Enumerate maximal conflict-free closed sets of implicational bases.",
     )
@@ -267,13 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json"), default="text")
 
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--cap-keys", type=int, default=KEY_CAP, help="key enumeration cap")
-    caps.add_argument("--cap-mis", type=int, default=MIS_CAP, help="independent-set cap")
+    caps.add_argument("--cap-keys", type=_count, default=KEY_CAP, help="key enumeration cap")
+    caps.add_argument("--cap-mis", type=_count, default=MIS_CAP, help="independent-set cap")
 
     ground = argparse.ArgumentParser(add_help=False)
     ground.add_argument(
         "--limit-ground",
-        type=int,
+        type=_count,
         default=EXHAUSTIVE_LIMIT,
         help="refusal size for exhaustive enumeration",
     )
@@ -318,36 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        format=getattr(ns, "format", "text"),
-        instance=getattr(ns, "instance", None),
-        set_arg=getattr(ns, "set_arg", None),
-        limit_ground=getattr(ns, "limit_ground", EXHAUSTIVE_LIMIT),
-        cap_keys=getattr(ns, "cap_keys", KEY_CAP),
-        cap_mis=getattr(ns, "cap_mis", MIS_CAP),
-        seed=getattr(ns, "seed", 0),
-        family=getattr(ns, "family", None),
-        n=getattr(ns, "n", 3),
-        imps=getattr(ns, "imps", 10),
-        max_premise=getattr(ns, "max_premise", 3),
-        edges=getattr(ns, "edges", 3),
-        dim=getattr(ns, "dim", 2),
-        cnf_path=getattr(ns, "cnf_path", None),
-        reduce=getattr(ns, "reduce", False),
-        output=getattr(ns, "output", None),
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        return run(config)
+        return _COMMANDS[args.command](args)
     except OutputLimitExceeded as exc:
         found = len(exc.partial) if exc.partial is not None else "unknown"
         print(f"incomplete: {exc} (partial results: {found})", file=sys.stderr)
         return 2
-    except ClosureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ClosureError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,8 +21,10 @@ from .core import (
     ElemSet,
     GroundSet,
     ImplicationalBase,
+    SubsetIndex,
     format_sets,
     iter_bits,
+    minimal,
 )
 from .errors import GroundSetTooLarge, NotClosed, OutputLimitExceeded
 
@@ -162,8 +164,7 @@ def enumerate_closed_sets(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
 def _cover_masks(ch: _Chainer, full: int, fmask: int) -> list[int]:
     # Upper covers of a closed set are the minimal closures obtained by
     # adding one missing element.
-    cands = {ch.close(fmask | (1 << i)) for i in iter_bits(full & ~fmask)}
-    return sorted(m for m in cands if not any(o != m and o & ~m == 0 for o in cands))
+    return minimal(ch.n, (ch.close(fmask | (1 << i)) for i in iter_bits(full & ~fmask)))
 
 
 def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
@@ -224,15 +225,17 @@ def minimal_generators(
     ch = _chainer(base)
     bit = 1 << element
     found: list[int] = []
+    index = SubsetIndex(n)
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(range(n), size):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if any(gmask & ~mask == 0 for gmask in found):
+            if index.has_subset_of(mask):
                 continue
             if ch.close(mask) & bit:
                 found.append(mask)
+                index.add(mask)
     found.sort()
     return MinGenRecord(element, tuple(ElemSet(g, m) for m in found))
 
@@ -270,10 +273,11 @@ def co_atoms(
         if g.n > limit:
             raise
         family = enumerate_closed_sets(base, limit)
+        # The maximal proper closed sets are the complements of the
+        # minimal non-empty complements.
         full = g.full_mask
-        masks = [s.mask for s in family if s.mask != full]
-        tops = [m for m in masks if not any(o != m and m & ~o == 0 for o in masks)]
-        return [ElemSet(g, m) for m in sorted(tops)]
+        holes = minimal(g.n, (full ^ s.mask for s in family if s.mask != full))
+        return [ElemSet(g, full ^ h) for h in reversed(holes)]
     if any(k.mask == 0 for k in hyper.keys):
         return []  # the empty set already generates everything: no proper closed sets
     return maximal_independent_sets(Hypergraph(g, hyper.keys), cap=mis_cap)

@@ -15,9 +15,9 @@ The plain-text instance format also lives here:
     imp: 4 -> 1
     edge: 3 4
 
-Element names are arbitrary non-whitespace strings. An instance has
-exactly one ``elements:`` line, any number of ``imp:`` and ``edge:``
-lines, and ``#`` starts a comment anywhere on a line.
+Element names are arbitrary non-whitespace strings other than ``->``.
+An instance has exactly one ``elements:`` line, any number of ``imp:``
+and ``edge:`` lines, and ``#`` starts a comment anywhere on a line.
 """
 
 from __future__ import annotations
@@ -47,6 +47,51 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class SubsetIndex:
+    """Subsets of an n-element ground set, asked "is some stored set inside c?".
+
+    All sets live in one int: set j fills the n-bit slot at offset
+    j*(n+1), under a guard bit. A query keeps each slot's elements
+    outside ``c`` (one multiply and one AND), then subtracts the result
+    from the guards: a guard survives exactly where its slot was zero,
+    that is, where the stored set lies inside ``c``. That is a few
+    big-int operations per query instead of a Python loop over the sets.
+    """
+
+    __slots__ = ("n", "count", "packed", "ones", "guards")
+
+    def __init__(self, n: int, masks: Iterable[int] = ()):
+        masks = list(masks)
+        self.n = n
+        self.count = len(masks)
+        # int() parses a binary string in linear time; add() per set is quadratic.
+        self.packed = int("0" + "".join(format(m, f"0{n + 1}b") for m in reversed(masks)), 2)
+        self.ones = int("0" + ("0" * n + "1") * self.count, 2)  # bit 0 of every slot
+        self.guards = self.ones << n
+
+    def add(self, mask: int) -> None:
+        shift = self.count * (self.n + 1)
+        self.count += 1
+        self.packed |= mask << shift
+        self.ones |= 1 << shift
+        self.guards |= 1 << (shift + self.n)
+
+    def has_subset_of(self, mask: int) -> bool:
+        outside = self.packed & self.ones * (~mask & ((1 << self.n) - 1))
+        return (self.guards - outside) & self.guards != 0
+
+
+def minimal(n: int, masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal members of ``masks``, without repeats, in lectic order."""
+    index = SubsetIndex(n)
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not index.has_subset_of(m):
+            index.add(m)
+            kept.append(m)
+    return sorted(kept)
 
 
 class GroundSet:
@@ -413,6 +458,8 @@ def parse_instance(
         if tokens[0] == "elements:":
             if ground is not None:
                 raise ParseError(no, f"duplicate elements: line (first was line {elements_line})")
+            if "->" in tokens:
+                raise ParseError(no, "'->' is reserved and cannot be an element label")
             try:
                 ground = GroundSet(tokens[1:], max_size=max_ground)
             except (ValueError, GroundSetTooLarge) as exc:
@@ -465,8 +512,14 @@ def parse_instance(
 
 
 def load_instance(path) -> tuple[ImplicationalBase, ConsistencyGraph]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    """Read and parse an instance file; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}") from None
+    return parse_instance(text)
 
 
 def format_instance(base: ImplicationalBase, graph: ConsistencyGraph | None = None) -> str:

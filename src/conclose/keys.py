@@ -5,12 +5,12 @@ set. Enumeration follows the Lucchesi-Osborn saturation scheme from
 relational database theory: start from one minimized key and, for every
 known key and every rule whose conclusion meets it, minimize the
 rewritten superkey obtained by swapping the met part for the premise.
-The loop runs FIFO and stops when no rewrite escapes the known keys.
+The loop runs FIFO and stops when no rewrite escapes the known keys;
+a packed core.SubsetIndex over the known keys answers that test.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,6 +23,7 @@ from .core import (
     GroundSet,
     ImplicationalBase,
     Implication,
+    SubsetIndex,
     format_sets,
 )
 from .errors import (
@@ -121,24 +122,21 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> KeyHypergraph
     ch = _chainer(base)
     full = g.full_mask
     rules = [(imp.premise.mask, imp.conclusion.mask) for imp in base.implications]
-
-    first = _minimize_mask(ch, full, full)
-    found: list[int] = [first]
-    queue: deque[int] = deque(found)
-    while queue:
-        k = queue.popleft()
+    found = [_minimize_mask(ch, full, full)]
+    index = SubsetIndex(g.n, found)
+    for k in found:  # keys appended below are scanned in turn, first in first out
+        if len(found) > cap:
+            partial = [ElemSet(g, m) for m in sorted(found)]
+            raise OutputLimitExceeded("keys", cap, partial)
         for pmask, cmask in rules:
             if cmask & k == 0:
                 continue
             s = pmask | (k & ~cmask)
-            if any(g0 & ~s == 0 for g0 in found):
+            if index.has_subset_of(s):
                 continue
             new = _minimize_mask(ch, full, s)
             found.append(new)
-            queue.append(new)
-            if len(found) > cap:
-                partial = [ElemSet(g, m) for m in sorted(found)]
-                raise OutputLimitExceeded("keys", cap, partial)
+            index.add(new)
     found.sort()
     return KeyHypergraph(g, tuple(ElemSet(g, m) for m in found))
 

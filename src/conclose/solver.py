@@ -32,20 +32,15 @@ from .transversal import Hypergraph, maximal_independent_sets
 class SolveStats:
     """Work counters for one solver run.
 
-    ``key_count`` and ``transversal_steps`` are None when the producing
-    code path (for example the brute-force oracle) has no such phase.
+    ``key_count`` is None when the producing code path (for example the
+    brute-force oracle) has no key phase.
     """
 
     key_count: int | None = None
-    transversal_steps: int | None = None
     seconds: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "key_count": self.key_count,
-            "transversal_steps": self.transversal_steps,
-            "seconds": dict(self.seconds),
-        }
+        return {"key_count": self.key_count, "seconds": dict(self.seconds)}
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def solve(
         return SolutionSet(
             g,
             (g.full(),),
-            SolveStats(key_count=0, transversal_steps=0, seconds={"keys": 0.0, "mis": 0.0}),
+            SolveStats(key_count=0, seconds={"keys": 0.0, "mis": 0.0}),
         )
 
     t0 = time.perf_counter()
@@ -99,18 +94,12 @@ def solve(
     if any(k.mask == 0 for k in hyper_keys.keys):
         # The empty set is already inconsistent or full: nothing qualifies.
         sets: tuple[ElemSet, ...] = ()
-        steps = 0
     else:
         hyper = Hypergraph(g, hyper_keys.keys)
         sets = tuple(maximal_independent_sets(hyper, cap=mis_cap))
-        steps = len(hyper.edges)
     t2 = time.perf_counter()
 
-    stats = SolveStats(
-        key_count=len(hyper_keys),
-        transversal_steps=steps,
-        seconds={"keys": t1 - t0, "mis": t2 - t1},
-    )
+    stats = SolveStats(key_count=len(hyper_keys), seconds={"keys": t1 - t0, "mis": t2 - t1})
     return SolutionSet(g, sets, stats)
 
 

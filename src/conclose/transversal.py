@@ -3,14 +3,16 @@
 Maximal independent sets are computed through the classic duality: the
 complements of the minimal transversals. Transversals are built by
 Berge multiplication, folding one edge at a time into the running
-antichain of minimal partial transversals.
+antichain of minimal partial transversals. Both the edge antichain and
+the minimality filter of each step ask whether a candidate contains an
+already kept set; a core.SubsetIndex answers that in one packed query.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import MIS_CAP, ElemSet, GroundSet, format_sets, iter_bits
+from .core import MIS_CAP, ElemSet, GroundSet, SubsetIndex, format_sets, iter_bits, minimal
 from .errors import MismatchedGroundSets, OutputLimitExceeded
 
 
@@ -32,13 +34,8 @@ class Hypergraph:
             if e.mask == 0:
                 raise ValueError("hypergraph edges must be non-empty")
             masks.add(e.mask)
-        minimal: list[int] = []
-        for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
-            if not any(r & ~m == 0 for r in minimal):
-                minimal.append(m)
-        minimal.sort()
         self.ground = ground
-        self.edges = tuple(ElemSet(ground, m) for m in minimal)
+        self.edges = tuple(ElemSet(ground, m) for m in minimal(ground.n, masks))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -81,33 +78,29 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
     one crossing step requires. Raises OutputLimitExceeded if the
     working list ever exceeds ``cap``.
     """
+    g = hyper.ground
     trans: list[int] = [0]
     for e in hyper.edges:
         em = e.mask
-        kept = [t for t in trans if t & em]
         missing = [t for t in trans if not t & em]
+        trans = [t for t in trans if t & em]
         # Cross every non-hitting transversal with every vertex of the
         # edge, then keep only the minimal results. A candidate is
         # redundant iff it contains a kept transversal or an already
-        # accepted smaller candidate.
+        # accepted smaller candidate; the index holds both.
         cands = sorted(
             {t | (1 << i) for t in missing for i in iter_bits(em)},
             key=lambda m: (m.bit_count(), m),
         )
-        accepted: list[int] = []
+        index = SubsetIndex(g.n, trans)
         for c in cands:
-            if any(k & ~c == 0 for k in kept):
+            if index.has_subset_of(c):
                 continue
-            if any(a & ~c == 0 for a in accepted):
-                continue
-            accepted.append(c)
-            if len(kept) + len(accepted) > cap:
-                g = hyper.ground
-                partial = [ElemSet(g, m) for m in kept + accepted]
-                raise OutputLimitExceeded("transversals", cap, partial)
-        trans = kept + accepted
+            index.add(c)
+            trans.append(c)
+            if len(trans) > cap:
+                raise OutputLimitExceeded("transversals", cap, [ElemSet(g, m) for m in trans])
     trans.sort()
-    g = hyper.ground
     return [ElemSet(g, m) for m in trans]
 
 

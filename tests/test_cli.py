@@ -34,7 +34,7 @@ def test_solve_text_golden(capsys, demo_file):
     code, out, err = run_cli(capsys, "solve", demo_file)
     assert code == 0
     assert out == DEMO_SOLUTIONS_TEXT
-    assert err == "stats: keys=4 transversal_steps=4\n"
+    assert err == "stats: keys=4\n"
 
 
 def test_solve_json_parity(capsys, demo_file):
@@ -44,7 +44,6 @@ def test_solve_json_parity(capsys, demo_file):
     payload = json.loads(out)
     assert payload["solutions"] == [["1", "2", "3"], ["3", "5"], ["1", "4", "5"]]
     assert payload["stats"]["key_count"] == 4
-    assert payload["stats"]["transversal_steps"] == 4
 
 
 def test_solve_no_edges_returns_everything(capsys, tmp_path):
@@ -75,6 +74,44 @@ def test_solve_key_cap_exit_two(capsys, demo_file):
     assert code == 2
     assert err.startswith("incomplete:")
     assert "cap of 2" in err
+
+
+def test_keys_cap_counts_the_first_key(capsys, tmp_path):
+    p = tmp_path / "one_key.txt"
+    p.write_text("elements: a b\nedge: a b\n")
+    code, out, err = run_cli(capsys, "keys", "--cap-keys", "0", str(p))
+    assert code == 2
+    assert "cap of 0" in err
+    code, out, _ = run_cli(capsys, "keys", "--cap-keys", "1", str(p))
+    assert code == 0
+    assert out == "keys: 1\na b\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bogus"],
+        ["solve", "--cap-keys", "x", "DEMO"],
+        ["solve", "--cap-keys", "-1", "DEMO"],
+        ["solve", "--cap-mis", "-1", "DEMO"],
+        ["oracle", "--limit-ground", "-1", "DEMO"],
+    ],
+)
+def test_usage_errors_exit_one(capsys, demo_file, argv):
+    # Exit code 2 is reserved for incomplete results.
+    with pytest.raises(SystemExit) as exc:
+        main([demo_file if a == "DEMO" else a for a in argv])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"elements: a \xe9\n")
+    code, out, err = run_cli(capsys, "solve", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 1:")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conclose import (
     ParseError,
     format_instance,
     format_sets,
+    load_instance,
     parse_instance,
     validate_instance,
 )
@@ -214,6 +215,21 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert err.value.line == line, text
+
+
+def test_parse_rejects_arrow_label():
+    # format_instance would write an elements: line that cannot be read back.
+    with pytest.raises(ParseError, match="reserved") as err:
+        parse_instance("elements: a -> b\n")
+    assert err.value.line == 1
+
+
+def test_load_rejects_non_utf8_with_line(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"elements: a b\nedge: a \xff\n")
+    with pytest.raises(ParseError, match="UTF-8") as err:
+        load_instance(p)
+    assert err.value.line == 2
 
 
 def test_parse_respects_ground_cap():

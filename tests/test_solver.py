@@ -26,14 +26,13 @@ def test_solve_demo(demo_base, demo_graph):
     assert as_label_sets(sol) == DEMO_SOLUTIONS
     assert [s.to_text() for s in sol] == ["1 2 3", "3 5", "1 4 5"]
     assert sol.stats.key_count == 4
-    assert sol.stats.transversal_steps == 4
     assert all(t >= 0 for t in sol.stats.seconds.values())
 
 
 def test_solve_without_edges_returns_everything(demo_base):
     sol = solve(demo_base, ConsistencyGraph(demo_base.ground, []))
     assert [s.mask for s in sol] == [demo_base.ground.full_mask]
-    assert sol.stats.key_count == 0 and sol.stats.transversal_steps == 0
+    assert sol.stats.key_count == 0
 
 
 def test_solve_reduces_to_graph_mis_without_rules():
