@@ -1,7 +1,9 @@
 """Closure operator of an implicational base and derived structure.
 
 The closure of a set is computed by forward chaining with per-rule
-counters, so one call costs time linear in the total size of the base.
+counters (LinClosure) over the base compiled to one rule per distinct
+premise, so one call costs time linear in the size of the compiled base,
+and it stops early once everything is reached.
 Whole-family operations (enumerating all closed sets, meet-irreducible
 elements) use next-closure iteration in lectic order and refuse ground
 sets above an exhaustive limit; they are desk-scale tools, not bulk
@@ -30,46 +32,58 @@ from .errors import GroundSetTooLarge, NotClosed, OutputLimitExceeded
 
 
 class _Chainer:
-    """Forward-chaining engine specialized to one base.
+    """Forward-chaining engine compiled from one base.
 
-    ``occurs[i]`` lists the rules whose premise contains element i;
-    each close() run counts down premise elements as they are reached,
-    firing a rule exactly once when its counter hits zero.
+    Rules that share a premise are merged into one ``(premise,
+    conclusion)`` pair with the conclusions OR-ed together, so ``rules``
+    holds one pair per distinct premise; ``base_fire`` is the merged
+    conclusion of the empty premise, present in every closure.
+    ``premise_sizes``, ``conclusions`` and ``occurs`` are indexed over
+    ``rules``, and ``occurs[i]`` lists the rules whose premise contains
+    element i. Each close() run counts premise elements down as they are
+    reached, fires a rule exactly once when its counter hits zero, and
+    returns as soon as the result is the full set.
     """
 
-    __slots__ = ("n", "premise_sizes", "conclusions", "occurs", "base_fire")
+    __slots__ = ("n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire")
 
     def __init__(self, base: ImplicationalBase):
         self.n = base.ground.n
-        self.premise_sizes = []
-        self.conclusions = []
-        self.occurs = [[] for _ in range(self.n)]
-        self.base_fire = 0  # conclusions of empty-premise rules, always present
-        for j, imp in enumerate(base.implications):
+        self.full = base.ground.full_mask
+        merged: dict[int, int] = {}
+        for imp in base.implications:
             p = imp.premise.mask
-            self.premise_sizes.append(p.bit_count())
-            self.conclusions.append(imp.conclusion.mask)
-            if p == 0:
-                self.base_fire |= imp.conclusion.mask
-            else:
-                for i in iter_bits(p):
-                    self.occurs[i].append(j)
+            merged[p] = merged.get(p, 0) | imp.conclusion.mask
+        self.rules = list(merged.items())
+        self.base_fire = merged.get(0, 0)
+        self.premise_sizes = [p.bit_count() for p, _ in self.rules]
+        self.conclusions = [c for _, c in self.rules]
+        self.occurs = [[] for _ in range(self.n)]
+        for j, (p, _) in enumerate(self.rules):
+            for i in iter_bits(p):
+                self.occurs[i].append(j)
 
     def close(self, mask: int) -> int:
         result = mask | self.base_fire
-        counts = list(self.premise_sizes)
-        queue = list(iter_bits(result))
+        full = self.full
+        if result == full:
+            return result
+        counts = self.premise_sizes.copy()
         occurs = self.occurs
         conclusions = self.conclusions
-        while queue:
-            x = queue.pop()
-            for j in occurs[x]:
+        todo = result  # reached elements whose rules are not yet counted down
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for j in occurs[low.bit_length() - 1]:
                 counts[j] -= 1
                 if counts[j] == 0:
                     new = conclusions[j] & ~result
                     if new:
                         result |= new
-                        queue.extend(iter_bits(new))
+                        if result == full:
+                            return result
+                        todo |= new
         return result
 
 

@@ -15,9 +15,11 @@ The plain-text instance format also lives here:
     imp: 4 -> 1
     edge: 3 4
 
-Element names are arbitrary non-whitespace strings other than ``->``.
-An instance has exactly one ``elements:`` line, any number of ``imp:``
-and ``edge:`` lines, and ``#`` starts a comment anywhere on a line.
+Element names are non-whitespace strings that contain no ``#`` and are
+not ``->``; GroundSet enforces this, so every instance formats to text
+that parses back. An instance has exactly one ``elements:`` line, any
+number of ``imp:`` and ``edge:`` lines, and ``#`` starts a comment
+anywhere on a line.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ class GroundSet:
         for lab in labels:
             if not isinstance(lab, str) or not lab or lab.split() != [lab]:
                 raise ValueError(f"element labels must be non-empty and whitespace-free: {lab!r}")
+            # The text format reads '#' as a comment and '->' as the rule arrow.
+            if "#" in lab:
+                raise ValueError(f"'#' starts a comment and cannot be in an element label: {lab!r}")
+            if lab == "->":
+                raise ValueError("'->' is reserved and cannot be an element label")
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be distinct")
         if len(labels) > max_size:
@@ -458,8 +465,6 @@ def parse_instance(
         if tokens[0] == "elements:":
             if ground is not None:
                 raise ParseError(no, f"duplicate elements: line (first was line {elements_line})")
-            if "->" in tokens:
-                raise ParseError(no, "'->' is reserved and cannot be an element label")
             try:
                 ground = GroundSet(tokens[1:], max_size=max_ground)
             except (ValueError, GroundSetTooLarge) as exc:

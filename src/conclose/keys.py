@@ -7,6 +7,13 @@ known key and every rule whose conclusion meets it, minimize the
 rewritten superkey obtained by swapping the met part for the premise.
 The loop runs FIFO and stops when no rewrite escapes the known keys;
 a packed core.SubsetIndex over the known keys answers that test.
+
+Rewrites use the compiled rules of the closure engine, one per distinct
+premise. That is still complete, since the merged rules form an
+equivalent base, and each merged rewrite lies inside the rewrites of the
+rules it merges. A rewrite is looked up at most once: the index only
+grows, so a rewrite found covered stays covered, and a minimized one
+left a subset of itself in the index.
 """
 
 from __future__ import annotations
@@ -121,17 +128,20 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> KeyHypergraph
     g = base.ground
     ch = _chainer(base)
     full = g.full_mask
-    rules = [(imp.premise.mask, imp.conclusion.mask) for imp in base.implications]
     found = [_minimize_mask(ch, full, full)]
     index = SubsetIndex(g.n, found)
+    tried: set[int] = set()  # rewrites already looked up; the index only grows
     for k in found:  # keys appended below are scanned in turn, first in first out
         if len(found) > cap:
             partial = [ElemSet(g, m) for m in sorted(found)]
             raise OutputLimitExceeded("keys", cap, partial)
-        for pmask, cmask in rules:
+        for pmask, cmask in ch.rules:
             if cmask & k == 0:
                 continue
             s = pmask | (k & ~cmask)
+            if s in tried:
+                continue
+            tried.add(s)
             if index.has_subset_of(s):
                 continue
             new = _minimize_mask(ch, full, s)

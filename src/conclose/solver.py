@@ -122,10 +122,12 @@ def brute_force_solve(
         s.mask for s in family
         if not any(em & ~s.mask == 0 for em in edge_masks)
     ]
-    maximal = [
-        m for m in consistent
-        if not any(o != m and m & ~o == 0 for o in consistent)
-    ]
+    # Largest first: a set that is not maximal lies in a strictly larger
+    # maximal one, which has already been kept when the set comes up.
+    maximal: list[int] = []
+    for m in sorted(consistent, key=int.bit_count, reverse=True):
+        if not any(m & ~o == 0 for o in maximal):
+            maximal.append(m)
     t1 = time.perf_counter()
     maximal.sort()
     return SolutionSet(

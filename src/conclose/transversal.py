@@ -79,6 +79,8 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
     working list ever exceeds ``cap``.
     """
     g = hyper.ground
+    if cap < 1:  # the working list starts as the one empty transversal
+        raise OutputLimitExceeded("transversals", cap, [ElemSet(g, 0)])
     trans: list[int] = [0]
     for e in hyper.edges:
         em = e.mask

@@ -39,6 +39,10 @@ def test_ground_set_rejects_bad_labels():
         GroundSet(["a", ""])
     with pytest.raises(ValueError):
         GroundSet(["a", "b c"])
+    # Text would read these back as a comment or as the rule arrow.
+    for label in ("a#b", "#", "->"):
+        with pytest.raises(ValueError):
+            GroundSet([label, "c"])
 
 
 def test_ground_set_size_cap():

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conclose import (
+    ConsistencyGraph,
     EmptyGraph,
     ImplicationalBase,
     NoDecomposition,
@@ -14,12 +16,17 @@ from conclose import (
     close,
     enumerate_keys,
     gen_exponential,
+    gen_poset_convexity,
     gen_random,
+    gen_random_poset,
     key_decomposition,
     minimal_generators,
     minimize_superkey,
     parse_instance,
 )
+from conclose import keys as keys_module
+from conclose.closure import _chainer
+from conclose.core import SubsetIndex
 from oracles import as_label_sets, naive_keys
 
 DEMO_KEYS = {
@@ -215,3 +222,40 @@ def test_decomposition_pieces_are_generators(demo_base, demo_graph):
         assert gen_u | gen_v == k
         for elem, gen in ((u, gen_u), (v, gen_v)):
             assert gen in minimal_generators(demo_base, elem, max_size=len(k)).generators
+
+
+# ---------------------------------------------------------------------------
+# work guards: counted operations, no wall-clock time
+
+
+def test_saturation_work_guards(monkeypatch):
+    base = gen_poset_convexity(gen_random_poset(10, 1))
+    ch = _chainer(base)
+    # One compiled rule per distinct premise, conclusions merged.
+    merged: dict[int, int] = {}
+    for imp in base:
+        merged[imp.premise.mask] = merged.get(imp.premise.mask, 0) | imp.conclusion.mask
+    assert len(ch.rules) == len(merged) < len(base)
+    assert dict(ch.rules) == merged
+
+    aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))
+    looked_up = Counter()
+    minimized = []
+    has_subset_of = SubsetIndex.has_subset_of
+    minimize = keys_module._minimize_mask
+
+    def counting_lookup(index, mask):
+        looked_up[mask] += 1
+        return has_subset_of(index, mask)
+
+    def counting_minimize(ch, full, mask):
+        minimized.append(mask)
+        return minimize(ch, full, mask)
+
+    monkeypatch.setattr(SubsetIndex, "has_subset_of", counting_lookup)
+    monkeypatch.setattr(keys_module, "_minimize_mask", counting_minimize)
+    keys = enumerate_keys(aug)
+    assert len(keys) > 1
+    assert looked_up and max(looked_up.values()) == 1
+    assert len(minimized) == len(keys)
+    assert keys.keys == brute_force_keys(aug).keys

@@ -1,26 +1,31 @@
 """Hypothesis property tests: the packed subset index against the naive
-scan it replaces, and the key and solve pipelines against their
-brute-force twins on random bases."""
+scan it replaces, the compiled closure against a plain fixpoint, the key
+and solve pipelines against their brute-force twins on random bases, and
+the text format round trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclose import (
     ConsistencyGraph,
+    ElemSet,
     GroundSet,
     Implication,
     ImplicationalBase,
     augment_with_inconsistency,
     brute_force_keys,
     brute_force_solve,
+    close,
     enumerate_keys,
+    format_instance,
+    parse_instance,
     solve,
 )
 from conclose.core import SubsetIndex, minimal
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 # The brute-force twins scan all 2^n subsets, so fewer, larger instances.
-PIPELINE = settings(PROPERTY, max_examples=40)
+PIPELINE = settings(PROPERTY, max_examples=100)
 
 
 @st.composite
@@ -74,15 +79,15 @@ def test_subset_index_edge_cases():
 
 @st.composite
 def instances(draw):
-    """A random base with conflict edges over at most 14 elements."""
-    n = draw(st.integers(2, 14))
+    """A random base with conflict edges over at most 16 elements."""
+    n = draw(st.integers(2, 16))
     g = GroundSet(str(i) for i in range(n))
     element = st.integers(0, n - 1)
     rule = st.tuples(
         st.lists(element, min_size=1, max_size=3), st.lists(element, min_size=1, max_size=2)
     )
-    # At least n rules keep the closed-set family, and with it the
-    # quadratic brute-force maximality filter, small at n=14.
+    # At least n rules keep the closed-set family, which the oracle
+    # walks, small at n=16.
     rules = draw(st.lists(rule, min_size=n, max_size=2 * n))
     imps = [
         Implication(g.from_indices(p), g.from_indices(c))
@@ -110,3 +115,77 @@ def test_enumerate_keys_matches_brute_force(instance):
 def test_solve_matches_brute_force(instance):
     base, graph = instance
     assert solve(base, graph).sets == brute_force_solve(base, graph).sets
+
+
+@st.composite
+def shared_premise_instances(draw):
+    """A random base whose premises come from a small pool that always
+    holds the empty premise, so merged and empty premises are common."""
+    n = draw(st.integers(1, 12))
+    g = GroundSet(str(i) for i in range(n))
+    full = (1 << n) - 1
+    pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4)) + [0]
+    rules = draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.integers(1, full)), max_size=3 * n)
+    )
+    imps = [Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in rules]
+    element = st.integers(0, n - 1)
+    graph = ConsistencyGraph(g, draw(st.lists(st.tuples(element, element), max_size=n)))
+    return ImplicationalBase(g, imps), graph
+
+
+def fixpoint_closure(base, mask):
+    """Apply every rule whose premise holds until nothing changes."""
+    while True:
+        grown = mask
+        for imp in base:
+            if imp.premise.mask & ~grown == 0:
+                grown |= imp.conclusion.mask
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+@PROPERTY
+@given(shared_premise_instances(), st.data())
+def test_close_matches_fixpoint(instance, data):
+    base, _ = instance
+    g = base.ground
+    queries = data.draw(st.lists(st.integers(0, g.full_mask), max_size=8)) + [0, g.full_mask]
+    for m in queries:
+        assert close(base, ElemSet(g, m)).mask == fixpoint_closure(base, m)
+
+
+@PIPELINE
+@given(shared_premise_instances())
+def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
+    base, graph = instance
+    bases = [base]
+    if graph.edges:
+        bases.append(augment_with_inconsistency(base, graph))
+    for b in bases:
+        assert enumerate_keys(b).keys == brute_force_keys(b).keys
+
+
+# Non-empty, whitespace-free text, often near the format's own tokens;
+# GroundSet is the judge of the rest.
+LABEL = st.sampled_from(["->", "#", "a#b", "-", ">", "imp:", "edge:", "elements:"]) | st.text(
+    min_size=1, max_size=3
+).filter(lambda s: s.split() == [s])
+
+
+@PROPERTY
+@given(st.lists(LABEL, min_size=1, max_size=6, unique=True), st.data())
+def test_format_parse_round_trip(labels, data):
+    try:
+        g = GroundSet(labels)
+    except ValueError:
+        bad = [lab for lab in labels if "#" in lab or lab == "->"]
+        assert bad
+        return
+    element = st.integers(0, g.n - 1)
+    mask = st.integers(0, g.full_mask)
+    rules = data.draw(st.lists(st.tuples(mask, mask.filter(bool)), max_size=6))
+    base = ImplicationalBase(g, [Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in rules])
+    graph = ConsistencyGraph(g, data.draw(st.lists(st.tuples(element, element), max_size=6)))
+    assert parse_instance(format_instance(base, graph)) == (base, graph)

@@ -131,3 +131,15 @@ def test_mis_cap_propagates():
     with pytest.raises(OutputLimitExceeded):
         maximal_independent_sets(h, cap=3)
     assert len(maximal_independent_sets(h, cap=8)) == 8
+
+
+def test_cap_zero_on_no_edges_raises():
+    # The empty set is the one transversal of an edgeless hypergraph, so
+    # it counts against the cap like any other result.
+    h = hg("abc")
+    assert minimal_transversals(h, cap=1) == [h.ground.empty()]
+    for fn in (minimal_transversals, maximal_independent_sets):
+        with pytest.raises(OutputLimitExceeded) as err:
+            fn(h, cap=0)
+        assert err.value.phase == "transversals"
+        assert err.value.partial == [h.ground.empty()]
