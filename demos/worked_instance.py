@@ -9,9 +9,9 @@ hypergraph.
 """
 
 from conclose import parse_instance
-from conclose.closure import close, co_atoms, enumerate_closed_sets
+from conclose.closure import close, enumerate_closed_sets
 from conclose.keys import augment_with_inconsistency, enumerate_keys
-from conclose.solver import brute_force_solve, solve
+from conclose.solver import brute_force_solve, co_atoms, solve
 
 INSTANCE = """\
 elements: 1 2 3 4 5

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands mirror the library: solve, oracle, keys, closure, coatoms,
-analyze, generate, bench. Output is plain text by default or JSON with
+analyze, generate. Output is plain text by default or JSON with
 --format json; the generate command always emits the instance text
 format. Exit codes: 0 on success, 1 on any error, 2 when an
 enumeration hit its output cap and the results are incomplete. Usage
@@ -15,7 +15,7 @@ import json
 import sys
 
 from .analysis import analyze
-from .closure import close, co_atoms
+from .closure import close
 from .core import (
     EXHAUSTIVE_LIMIT,
     KEY_CAP,
@@ -28,15 +28,13 @@ from .generators import (
     gen_cnf_lower_bounded,
     gen_exponential,
     gen_fano,
-    gen_poset_convexity,
     gen_projective_gf2,
     gen_random,
-    gen_random_poset,
     gen_reduction,
     parse_dimacs_cnf,
 )
 from .keys import augment_with_inconsistency, enumerate_keys
-from .solver import brute_force_solve, solve
+from .solver import brute_force_solve, co_atoms, solve
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -114,9 +112,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_coatoms(args: argparse.Namespace) -> int:
     base, _ = load_instance(args.instance)
-    tops = co_atoms(
-        base, key_cap=args.cap_keys, mis_cap=args.cap_mis, limit=args.limit_ground
-    )
+    tops = co_atoms(base, key_cap=args.cap_keys, mis_cap=args.cap_mis)
     _emit(args, {"coatoms": _labels(tops)}, [s.to_text() for s in tops])
     return 0
 
@@ -160,58 +156,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import random as _random
-
-    from .core import ConsistencyGraph
-    from .generators import CnfFormula
-
-    rows = []
-
-    def record(family: str, param: str, base, graph) -> None:
-        result = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
-        rows.append(
-            (
-                family,
-                param,
-                base.ground.n,
-                len(base.implications),
-                len(graph.edges),
-                result.stats.key_count,
-                len(result.sets),
-                f"{result.stats.seconds.get('keys', 0.0):.6f}",
-                f"{result.stats.seconds.get('mis', 0.0):.6f}",
-            )
-        )
-
-    for n in range(1, 6):
-        base, graph = gen_exponential(n)
-        record("exponential", f"n={n}", base, graph)
-    for i in range(5):
-        seed = args.seed + i
-        base, graph = gen_random(8, 10, 3, 5, seed)
-        record("random", f"seed={seed}", base, graph)
-    for i in range(3):
-        seed = args.seed + i
-        rng = _random.Random(seed)
-        clauses = tuple(tuple(sorted(rng.sample(range(1, 5), 3))) for _ in range(3))
-        base, graph = gen_reduction(gen_cnf_lower_bounded(CnfFormula(4, clauses)))
-        record("cnf_reduction", f"seed={seed}", base, graph)
-    for i in range(3):
-        seed = args.seed + i
-        poset = gen_random_poset(7, seed)
-        base = gen_poset_convexity(poset)
-        rng = _random.Random(seed + 1000)
-        pairs = [tuple(rng.sample(range(7), 2)) for _ in range(2)]
-        graph = ConsistencyGraph(base.ground, pairs)
-        record("poset_convexity", f"seed={seed}", base, graph)
-
-    print("family,param,elements,implications,edges,keys,solutions,keys_seconds,mis_seconds")
-    for row in rows:
-        print(",".join(str(v) for v in row))
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "oracle": _cmd_oracle,
@@ -220,7 +164,6 @@ _COMMANDS = {
     "coatoms": _cmd_coatoms,
     "analyze": _cmd_analyze,
     "generate": _cmd_generate,
-    "bench": _cmd_bench,
 }
 
 
@@ -274,9 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", parents=[fmt], help="closure of one set")
     p.add_argument("instance")
     p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
-    p = sub.add_parser(
-        "coatoms", parents=[fmt, caps, ground], help="maximal proper closed sets"
-    )
+    p = sub.add_parser("coatoms", parents=[fmt, caps], help="maximal proper closed sets")
     p.add_argument("instance")
     p = sub.add_parser("analyze", parents=[fmt, ground], help="structural check report")
     p.add_argument("instance")
@@ -292,9 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce", action="store_true", help="wrap a cnf base in the co-atom reduction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-
-    p = sub.add_parser("bench", parents=[caps], help="timings over the built-in families, CSV")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -18,8 +18,6 @@ from typing import Iterator
 
 from .core import (
     EXHAUSTIVE_LIMIT,
-    KEY_CAP,
-    MIS_CAP,
     ElemSet,
     GroundSet,
     ImplicationalBase,
@@ -28,7 +26,7 @@ from .core import (
     iter_bits,
     minimal,
 )
-from .errors import GroundSetTooLarge, NotClosed, OutputLimitExceeded
+from .errors import GroundSetTooLarge, MismatchedGroundSets, NotClosed
 
 
 class _Chainer:
@@ -99,19 +97,13 @@ def _chainer(base: ImplicationalBase) -> _Chainer:
 def close(base: ImplicationalBase, subset: ElemSet) -> ElemSet:
     """The least superset of ``subset`` satisfying every implication."""
     if subset.ground != base.ground:
-        from .errors import MismatchedGroundSets
-
         raise MismatchedGroundSets("set and base over different ground sets")
     return ElemSet(base.ground, _chainer(base).close(subset.mask))
 
 
 def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
     """True iff ``subset`` already satisfies every implication."""
-    m = subset.mask
-    for imp in base.implications:
-        if imp.premise.mask & ~m == 0 and imp.conclusion.mask & ~m != 0:
-            return False
-    return True
+    return close(base, subset).mask == subset.mask
 
 
 @dataclass(frozen=True)
@@ -262,36 +254,3 @@ def caratheodory_number(base: ImplicationalBase, max_size: int | None = None) ->
             if len(gen) > best:
                 best = len(gen)
     return best
-
-
-def co_atoms(
-    base: ImplicationalBase,
-    key_cap: int = KEY_CAP,
-    mis_cap: int = MIS_CAP,
-    limit: int = EXHAUSTIVE_LIMIT,
-) -> list[ElemSet]:
-    """Maximal closed sets different from the full set, in lectic order.
-
-    Computed through the duality with minimal keys: the co-atoms are
-    exactly the maximal sets containing no key. When key enumeration
-    overflows its cap and the ground set is small enough, falls back to
-    scanning the full closed-set family.
-    """
-    from .keys import enumerate_keys
-    from .transversal import Hypergraph, maximal_independent_sets
-
-    g = base.ground
-    try:
-        hyper = enumerate_keys(base, cap=key_cap)
-    except OutputLimitExceeded:
-        if g.n > limit:
-            raise
-        family = enumerate_closed_sets(base, limit)
-        # The maximal proper closed sets are the complements of the
-        # minimal non-empty complements.
-        full = g.full_mask
-        holes = minimal(g.n, (full ^ s.mask for s in family if s.mask != full))
-        return [ElemSet(g, full ^ h) for h in reversed(holes)]
-    if any(k.mask == 0 for k in hyper.keys):
-        return []  # the empty set already generates everything: no proper closed sets
-    return maximal_independent_sets(Hypergraph(g, hyper.keys), cap=mis_cap)

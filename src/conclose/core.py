@@ -24,12 +24,11 @@ anywhere on a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
     GroundSetTooLarge,
-    InvalidParams,
     MismatchedGroundSets,
     ParseError,
 )

@@ -1,10 +1,14 @@
 """Enumeration of maximal consistent closed sets.
 
-The solver runs the two-step pipeline: augment the base with one rule
-per conflict edge, enumerate the minimal keys of the augmented base,
-then read the answer off as the maximal independent sets of the key
-hypergraph. A subset-scan oracle over the closed-set family is provided
-for cross-checking at desk scale.
+The solver rests on one duality: a set closes to the full ground
+set iff it contains a key, so the maximal proper closed sets (the
+co-atoms) are exactly the maximal sets containing no key, that is the
+maximal independent sets of the key hypergraph. co_atoms() reads them
+off the keys of a base. solve() first augments the base with one rule
+per conflict edge that forces the full set; the maximal consistent
+closed sets are then the co-atoms of the augmented base. A subset-scan
+oracle over the closed-set family is provided for cross-checking at
+desk scale.
 """
 
 from __future__ import annotations
@@ -66,6 +70,22 @@ def _require_shared_ground(base: ImplicationalBase, graph: ConsistencyGraph) -> 
         raise MismatchedGroundSets("base and graph ground sets differ")
 
 
+def _key_free_maxima(ground: GroundSet, keys: tuple[ElemSet, ...], mis_cap: int) -> list[ElemSet]:
+    # The maximal sets containing no key, in lectic order.
+    if any(k.mask == 0 for k in keys):
+        return []  # the empty set is a key: every set contains one
+    return maximal_independent_sets(Hypergraph(ground, keys), cap=mis_cap)
+
+
+def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS_CAP) -> list[ElemSet]:
+    """Maximal closed sets different from the full set, in lectic order.
+
+    These are the maximal sets containing no minimal key of ``base``.
+    Either phase may raise OutputLimitExceeded.
+    """
+    return _key_free_maxima(base.ground, enumerate_keys(base, cap=key_cap).keys, mis_cap)
+
+
 def solve(
     base: ImplicationalBase,
     graph: ConsistencyGraph,
@@ -74,6 +94,7 @@ def solve(
 ) -> SolutionSet:
     """All maximal closed sets containing no conflict edge.
 
+    These are the co-atoms of the base augmented with conflict rules.
     With no edges the full set is the single answer. Either phase may
     raise OutputLimitExceeded; no partial SolutionSet is ever returned.
     """
@@ -90,13 +111,7 @@ def solve(
     augmented = augment_with_inconsistency(base, graph)
     hyper_keys = enumerate_keys(augmented, cap=key_cap)
     t1 = time.perf_counter()
-
-    if any(k.mask == 0 for k in hyper_keys.keys):
-        # The empty set is already inconsistent or full: nothing qualifies.
-        sets: tuple[ElemSet, ...] = ()
-    else:
-        hyper = Hypergraph(g, hyper_keys.keys)
-        sets = tuple(maximal_independent_sets(hyper, cap=mis_cap))
+    sets = tuple(_key_free_maxima(g, hyper_keys.keys, mis_cap))
     t2 = time.perf_counter()
 
     stats = SolveStats(key_count=len(hyper_keys), seconds={"keys": t1 - t0, "mis": t2 - t1})

@@ -107,9 +107,11 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
 
 
 def maximal_independent_sets(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]:
-    """All maximal edge-free subsets, as complements of minimal transversals."""
-    full = hyper.ground.full_mask
+    """All maximal edge-free subsets, as complements of minimal transversals.
+
+    ``full ^ t == full - t``, so complementing the lectic list of
+    transversals reverses its order.
+    """
     g = hyper.ground
-    out = [ElemSet(g, full ^ t.mask) for t in minimal_transversals(hyper, cap)]
-    out.sort(key=lambda s: s.mask)
-    return out
+    full = g.full_mask
+    return [ElemSet(g, full ^ t.mask) for t in reversed(minimal_transversals(hyper, cap))]

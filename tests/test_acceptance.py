@@ -94,7 +94,7 @@ def reduction_stream(count=100):
 
 
 def blowup_instances():
-    return [(n,) + gen_exponential(n) for n in (2, 3, 4)]
+    return [(n,) + gen_exponential(n) for n in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,7 @@ def test_blowup_keys_complete_and_counted():
         }
         assert selectors <= keys
         assert len(selectors) == 2**n
+        assert len(keys) == 2**n + 1  # the selectors and the conflict edge itself
         assert keys == naive_keys(augmented)
 
 

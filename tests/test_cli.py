@@ -95,6 +95,8 @@ def test_keys_cap_counts_the_first_key(capsys, tmp_path):
         ["solve", "--cap-keys", "-1", "DEMO"],
         ["solve", "--cap-mis", "-1", "DEMO"],
         ["oracle", "--limit-ground", "-1", "DEMO"],
+        ["coatoms", "--limit-ground", "5", "DEMO"],
+        ["bench"],
     ],
 )
 def test_usage_errors_exit_one(capsys, demo_file, argv):
@@ -154,6 +156,15 @@ def test_coatoms_golden(capsys, demo_file):
     code, out, _ = run_cli(capsys, "coatoms", demo_file)
     assert code == 0
     assert out == "1 2 3 4\n1 2 3 5\n1 4 5\n"
+
+
+def test_coatoms_key_cap_exit_two(capsys, demo_file):
+    # The key cap holds for co-atoms as for solve; no other path takes over.
+    code, out, err = run_cli(capsys, "coatoms", "--cap-keys", "1", demo_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("incomplete:")
+    assert "cap of 1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +270,3 @@ def test_generate_fano_has_no_edges(capsys):
     assert "edge:" not in out
     assert sum(1 for l in out.splitlines() if l.startswith("imp:")) == 21
 
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_csv_shape_and_key_growth(capsys):
-    code, out, _ = run_cli(capsys, "bench")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == (
-        "family,param,elements,implications,edges,keys,solutions,"
-        "keys_seconds,mis_seconds"
-    )
-    assert len(lines) == 1 + 5 + 5 + 3 + 3
-    exp = [l.split(",") for l in lines[1:] if l.startswith("exponential,")]
-    assert [int(r[5]) for r in exp] == [3, 5, 9, 17, 33]  # 2^n + 1 keys

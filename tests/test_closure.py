@@ -5,6 +5,7 @@ import pytest
 from conclose import (
     ElemSet,
     GroundSetTooLarge,
+    MismatchedGroundSets,
     NotClosed,
     caratheodory_number,
     close,
@@ -63,6 +64,13 @@ def test_is_closed_demo(demo_base):
     assert is_closed(demo_base, g.set_of("1", "4", "5"))
     assert not is_closed(demo_base, g.set_of("1", "3"))
     assert is_closed(demo_base, g.full())
+
+
+def test_close_and_is_closed_reject_a_foreign_set(demo_base):
+    other = simple("elements: 1 2 3 4 5 6\n").ground.full()
+    for fn in (close, is_closed):
+        with pytest.raises(MismatchedGroundSets):
+            fn(demo_base, other)
 
 
 def test_close_operator_laws_random():

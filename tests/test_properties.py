@@ -1,7 +1,8 @@
 """Hypothesis property tests: the packed subset index against the naive
 scan it replaces, the compiled closure against a plain fixpoint, the key
-and solve pipelines against their brute-force twins on random bases, and
-the text format round trip."""
+and solve pipelines against their brute-force twins on random bases, the
+co-atoms against the closed-set family, and the text format round
+trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from conclose import (
     brute_force_keys,
     brute_force_solve,
     close,
+    co_atoms,
+    enumerate_closed_sets,
     enumerate_keys,
     format_instance,
     parse_instance,
@@ -115,6 +118,21 @@ def test_enumerate_keys_matches_brute_force(instance):
 def test_solve_matches_brute_force(instance):
     base, graph = instance
     assert solve(base, graph).sets == brute_force_solve(base, graph).sets
+
+
+@PIPELINE
+@given(instances())
+def test_co_atoms_match_maximal_proper_closed_sets(instance):
+    base, _ = instance
+    full = base.ground.full_mask
+    proper = [s.mask for s in enumerate_closed_sets(base) if s.mask != full]
+    # Largest first, as in the solve oracle: a non-maximal set lies in a
+    # strictly larger maximal one that is already kept.
+    maximal: list[int] = []
+    for m in sorted(proper, key=int.bit_count, reverse=True):
+        if not any(m & ~o == 0 for o in maximal):
+            maximal.append(m)
+    assert [s.mask for s in co_atoms(base)] == sorted(maximal)
 
 
 @st.composite
