@@ -10,7 +10,7 @@ instance with conflict edges added on top.
 
 import random
 
-from conclose.closure import caratheodory_number
+from conclose.keys import caratheodory_number
 from conclose.core import ConsistencyGraph
 from conclose.generators import Poset, gen_poset_convexity, gen_random_poset
 from conclose.solver import solve

@@ -18,7 +18,7 @@ from conclose.analysis import (
     check_modular,
     verify_log_bound,
 )
-from conclose.closure import caratheodory_number, minimal_generators
+from conclose.keys import caratheodory_number, minimal_generators
 from conclose.generators import gen_fano
 
 

@@ -1,10 +1,13 @@
 """Structural checks on the closure system of an implicational base.
 
-Every predicate here is evaluated exhaustively over the closed-set
-family (or over subsets of a given set), so everything is desk scale
-and gated by the exhaustive limit. Each failed check carries a concrete
-witness: the sets or elements violating the definition, plus a rendered
-explanation.
+Biatomicity and modularity are evaluated exhaustively over the
+closed-set family, so they are desk scale and gated by the exhaustive
+limit; independence scans the subsets of a given set under its own
+bound. The other checks need no family: distributivity is read off the
+rules, and minimal generators and meet-irreducibles (hence the arrow
+relations and the dependency digraph) are key queries. Each failed
+check carries a concrete witness: the sets or elements violating the
+definition, plus a rendered explanation.
 """
 
 from __future__ import annotations
@@ -12,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .closure import (
-    _chainer,
-    caratheodory_number,
-    covers,
-    enumerate_closed_sets,
-    meet_irreducibles,
-    minimal_generators,
-)
+from .closure import _chainer, covers, enumerate_closed_sets
 from .core import (
     EXHAUSTIVE_LIMIT,
     INDEPENDENCE_BOUND,
@@ -29,6 +25,8 @@ from .core import (
     iter_bits,
 )
 from .errors import HypothesesNotMet, NotStandard, SetTooLarge
+from .keys import caratheodory_number, minimal_generators
+from .solver import meet_irreducibles
 
 
 @dataclass(frozen=True)
@@ -131,19 +129,35 @@ def check_biatomic(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> Ch
     return CheckResult(True)
 
 
-def check_distributive(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> CheckResult:
-    """The closed sets form a distributive lattice iff they are closed under union."""
-    family = enumerate_closed_sets(base, limit)
-    fam_masks = [s.mask for s in family]
+def check_distributive(base: ImplicationalBase) -> CheckResult:
+    """The closed sets form a distributive lattice iff they are closed under union.
+
+    That holds iff every rule ``P -> C`` has C inside U = close(∅) ∪ the
+    union of close({p}) over p in P, so one pass over the rules decides
+    it. For a rule that fails, U is rebuilt one close({p}) at a time; the
+    final U contains P but not C, so some step joins two closed sets
+    into a set that is not closed, and the first such pair is the
+    witness.
+    """
+    ch = _chainer(base)
     g = base.ground
-    for i, f1 in enumerate(fam_masks):
-        for f2 in fam_masks[i + 1:]:
-            if not family.contains_mask(f1 | f2):
+    bottom = ch.close(0)
+    single = [ch.close(1 << i) for i in range(g.n)]
+    for pmask, cmask in ch.rules:
+        u = bottom
+        for p in iter_bits(pmask):
+            u |= single[p]
+        if cmask & ~u == 0:
+            continue
+        u = bottom
+        for p in iter_bits(pmask):
+            v = single[p]
+            if ch.close(u | v) != u | v:
+                a, b = ElemSet(g, u), ElemSet(g, v)
                 return CheckResult(
-                    False,
-                    (ElemSet(g, f1), ElemSet(g, f2)),
-                    f"union of closed sets {_fmt(ElemSet(g, f1))} and {_fmt(ElemSet(g, f2))} is not closed",
+                    False, (a, b), f"union of closed sets {_fmt(a)} and {_fmt(b)} is not closed"
                 )
+            u |= v
     return CheckResult(True)
 
 
@@ -236,13 +250,11 @@ def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResu
 
 
 def check_mingen_independence(
-    base: ImplicationalBase,
-    bound: int = INDEPENDENCE_BOUND,
-    max_size: int | None = None,
+    base: ImplicationalBase, bound: int = INDEPENDENCE_BOUND
 ) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
     for x in range(base.ground.n):
-        for gen in minimal_generators(base, x, max_size).generators:
+        for gen in minimal_generators(base, x).generators:
             res = check_independent(base, gen, bound)
             if not res.ok:
                 return CheckResult(
@@ -274,13 +286,13 @@ class ArrowRelations:
     up: frozenset[tuple[int, int]]
 
 
-def arrow_relations(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> ArrowRelations:
+def arrow_relations(base: ImplicationalBase) -> ArrowRelations:
     """Compute both arrow relations. Requires a standard system, since
     the up arrow reads the closure of a singleton minus the element."""
     std = check_standard(base)
     if not std.ok:
         raise NotStandard(std.detail)
-    mi = meet_irreducibles(base, limit)
+    mi = meet_irreducibles(base)
     ch = _chainer(base)
     g = base.ground
     x_star = [ch.close(1 << x) & ~(1 << x) for x in range(g.n)]
@@ -315,8 +327,8 @@ class DRelation:
     self_loops: tuple[int, ...]
 
 
-def d_relation(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> DRelation:
-    ar = arrow_relations(base, limit)
+def d_relation(base: ImplicationalBase) -> DRelation:
+    ar = arrow_relations(base)
     by_m_down: dict[int, list[int]] = {}
     for x, idx in ar.down:
         by_m_down.setdefault(idx, []).append(x)
@@ -365,9 +377,7 @@ def _find_cycle(rel: DRelation) -> tuple[int, ...] | None:
     return None
 
 
-def has_d_cycle(
-    base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[bool, tuple[int, ...] | None]:
+def has_d_cycle(base: ImplicationalBase) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the dependency relation has a directed cycle.
 
     Only arcs between distinct elements form cycles; self-composed
@@ -375,7 +385,7 @@ def has_d_cycle(
     Returns the cycle as a tuple of element indices (x1, ..., xk)
     with each related to the next and the last back to the first.
     """
-    cycle = _find_cycle(d_relation(base, limit))
+    cycle = _find_cycle(d_relation(base))
     return cycle is not None, cycle
 
 
@@ -488,7 +498,7 @@ def analyze(
     standard = note("standard", check_standard(base))
     atomistic = note("atomistic", check_atomistic(base))
     biatomic = note("biatomic", check_biatomic(base, limit))
-    distributive = note("distributive", check_distributive(base, limit))
+    distributive = note("distributive", check_distributive(base))
     modular = note("modular", check_modular(base, limit))
     mingen_ok = note("mingen_independence", check_mingen_independence(base, independence_bound))
     caratheodory = caratheodory_number(base)
@@ -496,7 +506,7 @@ def analyze(
     lower_bounded: bool | None = None
     loops: tuple[str, ...] = ()
     if standard:
-        rel = d_relation(base, limit)
+        rel = d_relation(base)
         cycle = _find_cycle(rel)
         lower_bounded = cycle is None
         if cycle:

@@ -1,18 +1,17 @@
-"""Closure operator of an implicational base and derived structure.
+"""Closure operator of an implicational base, closed sets and covers.
 
 The closure of a set is computed by forward chaining with per-rule
 counters (LinClosure) over the base compiled to one rule per distinct
 premise, so one call costs time linear in the size of the compiled base,
 and it stops early once everything is reached.
-Whole-family operations (enumerating all closed sets, meet-irreducible
-elements) use next-closure iteration in lectic order and refuse ground
-sets above an exhaustive limit; they are desk-scale tools, not bulk
-machinery.
+Enumerating all closed sets uses next-closure iteration in lectic order
+and refuses ground sets above an exhaustive limit; it is a desk-scale
+tool, not bulk machinery. Minimal generators and meet-irreducibles are
+key queries and live with the keys (keys.py) and co-atoms (solver.py).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -21,7 +20,6 @@ from .core import (
     ElemSet,
     GroundSet,
     ImplicationalBase,
-    SubsetIndex,
     format_sets,
     iter_bits,
     minimal,
@@ -128,9 +126,6 @@ class ClosedSetFamily:
             return item.mask in self._masks and item.ground == self.ground
         return item in self._masks
 
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self._masks
-
     def serialize(self) -> str:
         return format_sets(self.sets)
 
@@ -167,90 +162,15 @@ def enumerate_closed_sets(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
     return ClosedSetFamily(g, tuple(ElemSet(g, m) for m in out_masks))
 
 
-def _cover_masks(ch: _Chainer, full: int, fmask: int) -> list[int]:
-    # Upper covers of a closed set are the minimal closures obtained by
-    # adding one missing element.
-    return minimal(ch.n, (ch.close(fmask | (1 << i)) for i in iter_bits(full & ~fmask)))
-
-
 def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
-    """Upper covers of a closed set in the lattice of closed sets."""
+    """Upper covers of a closed set in the lattice of closed sets.
+
+    They are the minimal closures obtained by adding one missing element.
+    """
     if not is_closed(base, closed_set):
         raise NotClosed(f"{closed_set!r} is not closed")
     ch = _chainer(base)
     g = base.ground
-    return [ElemSet(g, m) for m in _cover_masks(ch, g.full_mask, closed_set.mask)]
-
-
-def meet_irreducibles(
-    base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
-) -> list[tuple[ElemSet, ElemSet]]:
-    """All closed sets with exactly one upper cover, paired with that cover.
-
-    Returned in lectic order of the irreducible set. These are the
-    building blocks of the arrow relations.
-    """
-    family = enumerate_closed_sets(base, limit)
-    ch = _chainer(base)
-    g = base.ground
-    full = g.full_mask
-    out = []
-    for f in family:
-        if f.mask == full:
-            continue
-        cm = _cover_masks(ch, full, f.mask)
-        if len(cm) == 1:
-            out.append((f, ElemSet(g, cm[0])))
-    return out
-
-
-@dataclass(frozen=True)
-class MinGenRecord:
-    """All inclusion-minimal sets whose closure contains one element."""
-
-    element: int
-    generators: tuple[ElemSet, ...]
-
-
-def minimal_generators(
-    base: ImplicationalBase, element: int, max_size: int | None = None
-) -> MinGenRecord:
-    """Every inclusion-minimal set A with ``element`` in close(A).
-
-    The singleton of the element itself is always included as the
-    trivial generator; the empty set is never considered a generator.
-    Search proceeds by increasing subset size, pruning supersets of
-    generators already found, so every survivor that works is minimal.
-    """
-    g = base.ground
-    n = g.n
-    if not 0 <= element < n:
-        raise ValueError(f"element index {element} out of range")
-    if max_size is None:
-        max_size = n
-    ch = _chainer(base)
-    bit = 1 << element
-    found: list[int] = []
-    index = SubsetIndex(n)
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if index.has_subset_of(mask):
-                continue
-            if ch.close(mask) & bit:
-                found.append(mask)
-                index.add(mask)
-    found.sort()
-    return MinGenRecord(element, tuple(ElemSet(g, m) for m in found))
-
-
-def caratheodory_number(base: ImplicationalBase, max_size: int | None = None) -> int:
-    """The largest size of any minimal generator, 1 when only trivial ones exist."""
-    best = 1
-    for x in range(base.ground.n):
-        for gen in minimal_generators(base, x, max_size).generators:
-            if len(gen) > best:
-                best = len(gen)
-    return best
+    f = closed_set.mask
+    grown = (ch.close(f | (1 << i)) for i in iter_bits(g.full_mask & ~f))
+    return [ElemSet(g, m) for m in minimal(g.n, grown)]

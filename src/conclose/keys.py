@@ -14,14 +14,19 @@ equivalent base, and each merged rewrite lies inside the rewrites of the
 rules it merges. A rewrite is looked up at most once: the index only
 grows, so a rewrite found covered stays covered, and a minimized one
 left a subset of itself in the index.
+
+Minimal generators are key queries too: the minimal sets whose closure
+holds an element x are the minimal keys of the base plus the rule
+``{x} -> everything``. The same full-set rules, one per conflict edge,
+augment a base for the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .closure import _chainer, minimal_generators
+from .closure import _chainer
 from .core import (
     EXHAUSTIVE_LIMIT,
     KEY_CAP,
@@ -72,6 +77,14 @@ class KeyHypergraph:
         return header + ("\n" + body if body else "")
 
 
+def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
+    # The base plus one rule per premise mask that forces the full set.
+    g = base.ground
+    full = g.full()
+    extra = [Implication(ElemSet(g, p), full) for p in premises]
+    return ImplicationalBase(g, list(base.implications) + extra)
+
+
 def augment_with_inconsistency(
     base: ImplicationalBase, graph: ConsistencyGraph
 ) -> ImplicationalBase:
@@ -85,12 +98,7 @@ def augment_with_inconsistency(
         raise MismatchedGroundSets("base and graph ground sets differ")
     if not graph.edges:
         raise EmptyGraph("augmentation needs at least one conflict edge")
-    g = base.ground
-    full = g.full()
-    rules = list(base.implications)
-    for mask in graph.edge_masks:
-        rules.append(Implication(ElemSet(g, mask), full))
-    return ImplicationalBase(g, rules)
+    return _with_full_rules(base, graph.edge_masks)
 
 
 def _minimize_mask(ch, full: int, mask: int) -> int:
@@ -175,6 +183,40 @@ def brute_force_keys(
     return KeyHypergraph(g, tuple(ElemSet(g, m) for m in found))
 
 
+@dataclass(frozen=True)
+class MinGenRecord:
+    """All inclusion-minimal sets whose closure contains one element."""
+
+    element: int
+    generators: tuple[ElemSet, ...]
+
+
+def minimal_generators(base: ImplicationalBase, element: int) -> MinGenRecord:
+    """Every inclusion-minimal non-empty set A with ``element`` in close(A).
+
+    These are the minimal keys of the base plus ``{element} ->
+    everything``, in lectic order, so the singleton of the element is
+    always one of them. When the element lies in close(∅) the empty set
+    is the one key; it never counts as a generator, so every singleton
+    is returned instead.
+    """
+    g = base.ground
+    if not 0 <= element < g.n:
+        raise ValueError(f"element index {element} out of range")
+    keys = enumerate_keys(_with_full_rules(base, [1 << element])).keys
+    if keys[0].mask == 0:
+        keys = tuple(ElemSet(g, 1 << i) for i in range(g.n))
+    return MinGenRecord(element, keys)
+
+
+def caratheodory_number(base: ImplicationalBase) -> int:
+    """The largest size of any minimal generator, 1 when only trivial ones exist."""
+    return max(
+        (len(gen) for x in range(base.ground.n) for gen in minimal_generators(base, x).generators),
+        default=1,
+    )
+
+
 def key_decomposition(
     base: ImplicationalBase,
     graph: ConsistencyGraph,
@@ -193,16 +235,10 @@ def key_decomposition(
         raise MismatchedGroundSets("key, base and graph must share a ground set")
     kmask = key.mask
     for u, v in graph.edges:
-        gens_u = [
-            a for a in minimal_generators(base, u, max_size=len(key)).generators
-            if a.mask & ~kmask == 0
-        ]
+        gens_u = [a for a in minimal_generators(base, u).generators if a.mask & ~kmask == 0]
         if not gens_u:
             continue
-        gens_v = [
-            a for a in minimal_generators(base, v, max_size=len(key)).generators
-            if a.mask & ~kmask == 0
-        ]
+        gens_v = [a for a in minimal_generators(base, v).generators if a.mask & ~kmask == 0]
         for a_u in gens_u:
             for a_v in gens_v:
                 if a_u.mask | a_v.mask == kmask:

@@ -6,9 +6,11 @@ co-atoms) are exactly the maximal sets containing no key, that is the
 maximal independent sets of the key hypergraph. co_atoms() reads them
 off the keys of a base. solve() first augments the base with one rule
 per conflict edge that forces the full set; the maximal consistent
-closed sets are then the co-atoms of the augmented base. A subset-scan
-oracle over the closed-set family is provided for cross-checking at
-desk scale.
+closed sets are then the co-atoms of the augmented base.
+meet_irreducibles() adds the rule ``{x} -> everything`` for one element
+x at a time; the co-atoms are then the closed sets maximal among those
+missing x. A subset-scan oracle over the closed-set family is provided
+for cross-checking at desk scale.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     format_sets,
 )
 from .errors import MismatchedGroundSets
-from .keys import augment_with_inconsistency, enumerate_keys
+from .keys import _with_full_rules, augment_with_inconsistency, enumerate_keys
 from .transversal import Hypergraph, maximal_independent_sets
 
 
@@ -84,6 +86,24 @@ def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS
     Either phase may raise OutputLimitExceeded.
     """
     return _key_free_maxima(base.ground, enumerate_keys(base, cap=key_cap).keys, mis_cap)
+
+
+def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
+    """All closed sets with exactly one upper cover, paired with that cover.
+
+    Returned in lectic order of the irreducible set. A closed set M is
+    meet-irreducible iff it is maximal among the closed sets missing
+    some element x: every closed set above M then holds x, so its one
+    cover is close(M ∪ {x}). These pairs are the building blocks of the
+    arrow relations.
+    """
+    g = base.ground
+    cover: dict[int, int] = {}
+    for x in range(g.n):
+        for m in co_atoms(_with_full_rules(base, [1 << x])):
+            if m.mask not in cover:
+                cover[m.mask] = close(base, m.add(x)).mask
+    return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
 
 
 def solve(

@@ -90,11 +90,12 @@ def naive_covers(base, labels):
 
 def naive_meet_irreducibles(base):
     """(M, unique upper cover) pairs, as frozenset pairs."""
+    fam = naive_family(base)
     out = []
-    for m in naive_family(base):
-        cov = naive_covers(base, m)
+    for m in fam:
+        cov = minimal_only(s for s in fam if m < s)
         if len(cov) == 1:
-            out.append((m, next(iter(cov))))
+            out.append((m, cov[0]))
     return out
 
 
@@ -147,7 +148,8 @@ def naive_atomistic(base):
 
 def naive_distributive(base):
     fam = naive_family(base)
-    return all(naive_is_closed(base, a | b) for a in fam for b in fam)
+    closed = set(fam)
+    return all(a | b in closed for a in fam for b in fam)
 
 
 def naive_modular(base):

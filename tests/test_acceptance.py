@@ -20,7 +20,7 @@ from conclose.analysis import (
     has_d_cycle,
     verify_log_bound,
 )
-from conclose.closure import caratheodory_number, close, minimal_generators
+from conclose.closure import close
 from conclose.core import ElemSet, parse_instance
 from conclose.generators import (
     CnfFormula,
@@ -33,7 +33,13 @@ from conclose.generators import (
     gen_random_poset,
     gen_reduction,
 )
-from conclose.keys import augment_with_inconsistency, enumerate_keys, key_decomposition
+from conclose.keys import (
+    augment_with_inconsistency,
+    caratheodory_number,
+    enumerate_keys,
+    key_decomposition,
+    minimal_generators,
+)
 from conclose.solver import brute_force_solve, solve
 
 from conftest import DEMO_TEXT

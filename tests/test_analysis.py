@@ -11,12 +11,14 @@ import random
 import pytest
 
 from conclose import (
+    EXHAUSTIVE_LIMIT,
     CnfFormula,
     HypothesesNotMet,
     NotStandard,
     SetTooLarge,
     analyze,
     arrow_relations,
+    caratheodory_number,
     check_atomistic,
     check_biatomic,
     check_chain_condition,
@@ -26,12 +28,17 @@ from conclose import (
     check_modular,
     check_standard,
     close,
+    covers,
     d_relation,
     gen_cnf_lower_bounded,
     gen_exponential,
     gen_fano,
+    gen_poset_convexity,
     gen_random,
+    gen_random_poset,
     has_d_cycle,
+    is_closed,
+    meet_irreducibles,
     parse_instance,
 )
 from oracles import (
@@ -267,6 +274,26 @@ def test_d_relation_cnf_family_is_acyclic():
     has, cycle = has_d_cycle(base)
     assert not has and cycle is None
     assert not naive_has_cycle(naive_d_arcs(base))
+
+
+@pytest.mark.parametrize("n, seed", [(24, 1), (27, 2), (30, 3)])
+def test_structure_queries_past_the_exhaustive_limit(n, seed):
+    # Poset convexity has two-element premises, so its largest minimal
+    # generator is 2; covers() checks each meet-irreducible pair with
+    # no key query.
+    base = gen_poset_convexity(gen_random_poset(n, seed))
+    assert n > EXHAUSTIVE_LIMIT
+    pairs = meet_irreducibles(base)
+    assert pairs
+    for m, m_star in pairs:
+        assert covers(base, m) == [m_star]
+    cyclic, cycle = has_d_cycle(base)
+    assert cyclic == (cycle is not None)
+    res = check_distributive(base)
+    if not res.ok:
+        a, b = res.witness
+        assert is_closed(base, a) and is_closed(base, b) and not is_closed(base, a | b)
+    assert caratheodory_number(base) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_decomposition_pieces_are_generators(demo_base, demo_graph):
         assert (u, v) in demo_graph.edges
         assert gen_u | gen_v == k
         for elem, gen in ((u, gen_u), (v, gen_v)):
-            assert gen in minimal_generators(demo_base, elem, max_size=len(k)).generators
+            assert gen in minimal_generators(demo_base, elem).generators
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Hypothesis property tests: the packed subset index against the naive
 scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
-co-atoms against the closed-set family, and the text format round
-trip."""
+co-atoms against the closed-set family, the structure queries (minimal
+generators, meet-irreducibles, distributivity) against their definitions,
+and the text format round trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +17,20 @@ from conclose import (
     augment_with_inconsistency,
     brute_force_keys,
     brute_force_solve,
+    caratheodory_number,
+    check_distributive,
     close,
     co_atoms,
     enumerate_closed_sets,
     enumerate_keys,
     format_instance,
+    meet_irreducibles,
+    minimal_generators,
     parse_instance,
     solve,
 )
 from conclose.core import SubsetIndex, minimal
+from oracles import labelset, naive_distributive, naive_is_closed, naive_meet_irreducibles
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 # The brute-force twins scan all 2^n subsets, so fewer, larger instances.
@@ -81,9 +87,9 @@ def test_subset_index_edge_cases():
 
 
 @st.composite
-def instances(draw):
-    """A random base with conflict edges over at most 16 elements."""
-    n = draw(st.integers(2, 16))
+def instances(draw, max_n=16):
+    """A random base with conflict edges over at most ``max_n`` elements."""
+    n = draw(st.integers(2, max_n))
     g = GroundSet(str(i) for i in range(n))
     element = st.integers(0, n - 1)
     rule = st.tuples(
@@ -136,10 +142,10 @@ def test_co_atoms_match_maximal_proper_closed_sets(instance):
 
 
 @st.composite
-def shared_premise_instances(draw):
+def shared_premise_instances(draw, max_n=12):
     """A random base whose premises come from a small pool that always
     holds the empty premise, so merged and empty premises are common."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     g = GroundSet(str(i) for i in range(n))
     full = (1 << n) - 1
     pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4)) + [0]
@@ -183,6 +189,52 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
         bases.append(augment_with_inconsistency(base, graph))
     for b in bases:
         assert enumerate_keys(b).keys == brute_force_keys(b).keys
+
+
+# Structure queries at n <= 10: both strategies, since only the shared
+# premise one has empty premises, which put elements into close(∅).
+STRUCTURE = st.one_of(instances(max_n=10), shared_premise_instances(max_n=10))
+
+
+@PIPELINE
+@given(STRUCTURE)
+def test_minimal_generators_match_subset_scan(instance):
+    base, _ = instance
+    n = base.ground.n
+    closures = [fixpoint_closure(base, m) for m in range(1 << n)]
+    by_size = sorted(range(1, 1 << n), key=int.bit_count)
+    largest = 1
+    for x in range(n):
+        found: list[int] = []
+        for m in by_size:
+            if closures[m] >> x & 1 and not any(f & ~m == 0 for f in found):
+                found.append(m)
+        assert [a.mask for a in minimal_generators(base, x).generators] == sorted(found)
+        largest = max([largest] + [m.bit_count() for m in found])
+    assert caratheodory_number(base) == largest
+
+
+@PIPELINE
+@given(STRUCTURE)
+def test_meet_irreducibles_match_oracle(instance):
+    base, _ = instance
+    got = meet_irreducibles(base)
+    assert [m.mask for m, _ in got] == sorted(m.mask for m, _ in got)
+    pairs = {(labelset(m), labelset(c)) for m, c in got}
+    assert len(pairs) == len(got)
+    assert pairs == set(naive_meet_irreducibles(base))
+
+
+@PIPELINE
+@given(STRUCTURE)
+def test_check_distributive_matches_oracle(instance):
+    base, _ = instance
+    res = check_distributive(base)
+    assert res.ok == naive_distributive(base)
+    if not res.ok:
+        a, b = res.witness
+        assert naive_is_closed(base, labelset(a)) and naive_is_closed(base, labelset(b))
+        assert not naive_is_closed(base, labelset(a) | labelset(b))
 
 
 # Non-empty, whitespace-free text, often near the format's own tokens;
