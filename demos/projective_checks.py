@@ -38,7 +38,7 @@ def main():
 
     census = Counter()
     for x in range(g.n):
-        for gen in minimal_generators(base, x).generators:
+        for gen in minimal_generators(base, x):
             census[len(gen)] += 1
     print("\nminimal generators by size (all elements together):")
     for size in sorted(census):

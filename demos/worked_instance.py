@@ -46,7 +46,7 @@ def main():
 
     keys = enumerate_keys(augmented)
     print(f"\nminimal keys of the augmented base ({len(keys)}):")
-    for k in keys.keys:
+    for k in keys:
         print(f"  {k.to_text()}")
 
     result = solve(base, graph)

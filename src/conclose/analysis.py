@@ -12,7 +12,7 @@ definition, plus a rendered explanation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .closure import _chainer, covers, enumerate_closed_sets
@@ -254,7 +254,7 @@ def check_mingen_independence(
 ) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
     for x in range(base.ground.n):
-        for gen in minimal_generators(base, x).generators:
+        for gen in minimal_generators(base, x):
             res = check_independent(base, gen, bound)
             if not res.ok:
                 return CheckResult(
@@ -441,20 +441,7 @@ class AnalysisReport:
     witnesses: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_elements": self.n_elements,
-            "standard": self.standard,
-            "atomistic": self.atomistic,
-            "biatomic": self.biatomic,
-            "distributive": self.distributive,
-            "modular": self.modular,
-            "lower_bounded": self.lower_bounded,
-            "caratheodory": self.caratheodory,
-            "log_bound_holds": self.log_bound_holds,
-            "mingen_all_independent": self.mingen_all_independent,
-            "d_self_loops": list(self.d_self_loops),
-            "witnesses": dict(self.witnesses),
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         def tern(v) -> str:

@@ -85,11 +85,11 @@ def _cmd_keys(args: argparse.Namespace) -> int:
     base, graph = load_instance(args.instance)
     if graph.edges:
         base = augment_with_inconsistency(base, graph)
-    hyper = enumerate_keys(base, cap=args.cap_keys)
+    keys = enumerate_keys(base, cap=args.cap_keys)
     _emit(
         args,
-        {"count": len(hyper), "keys": _labels(hyper.keys)},
-        hyper.serialize().splitlines(),
+        {"count": len(keys), "keys": _labels(keys)},
+        [f"keys: {len(keys)}"] + [k.to_text() for k in keys],
     )
     return 0
 

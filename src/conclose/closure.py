@@ -4,23 +4,20 @@ The closure of a set is computed by forward chaining with per-rule
 counters (LinClosure) over the base compiled to one rule per distinct
 premise, so one call costs time linear in the size of the compiled base,
 and it stops early once everything is reached.
-Enumerating all closed sets uses next-closure iteration in lectic order
-and refuses ground sets above an exhaustive limit; it is a desk-scale
-tool, not bulk machinery. Minimal generators and meet-irreducibles are
-key queries and live with the keys (keys.py) and co-atoms (solver.py).
+Enumerating all closed sets uses next-closure iteration in lectic order,
+returns them as a plain tuple, and refuses ground sets above an
+exhaustive limit; it is a desk-scale tool, not bulk machinery. Minimal
+generators and meet-irreducibles are key queries and live with the keys
+(keys.py) and co-atoms (solver.py); the engine cached on each base also
+keeps their per-element key saturations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
-
 from .core import (
     EXHAUSTIVE_LIMIT,
     ElemSet,
-    GroundSet,
     ImplicationalBase,
-    format_sets,
     iter_bits,
     minimal,
 )
@@ -38,10 +35,14 @@ class _Chainer:
     ``rules``, and ``occurs[i]`` lists the rules whose premise contains
     element i. Each close() run counts premise elements down as they are
     reached, fires a rule exactly once when its counter hits zero, and
-    returns as soon as the result is the full set.
+    returns as soon as the result is the full set. ``element_keys`` maps
+    an element x to the minimal keys of the base plus ``{x} ->
+    everything``, filled on demand by keys.py.
     """
 
-    __slots__ = ("n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire")
+    __slots__ = (
+        "n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire", "element_keys"
+    )
 
     def __init__(self, base: ImplicationalBase):
         self.n = base.ground.n
@@ -58,6 +59,7 @@ class _Chainer:
         for j, (p, _) in enumerate(self.rules):
             for i in iter_bits(p):
                 self.occurs[i].append(j)
+        self.element_keys: dict[int, tuple[ElemSet, ...]] = {}
 
     def close(self, mask: int) -> int:
         result = mask | self.base_fire
@@ -104,33 +106,9 @@ def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
     return close(base, subset).mask == subset.mask
 
 
-@dataclass(frozen=True)
-class ClosedSetFamily:
-    """All closed sets of a base, in lectic order."""
-
-    ground: GroundSet
-    sets: tuple[ElemSet, ...]
-    _masks: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_masks", frozenset(s.mask for s in self.sets))
-
-    def __iter__(self) -> Iterator[ElemSet]:
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, ElemSet):
-            return item.mask in self._masks and item.ground == self.ground
-        return item in self._masks
-
-    def serialize(self) -> str:
-        return format_sets(self.sets)
-
-
-def enumerate_closed_sets(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> ClosedSetFamily:
+def enumerate_closed_sets(
+    base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
+) -> tuple[ElemSet, ...]:
     """Enumerate every closed set in lectic order via next-closure.
 
     The family always contains the full set and is closed under
@@ -159,7 +137,7 @@ def enumerate_closed_sets(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
             raise AssertionError("next-closure failed to advance")
         out_masks.append(cur)
     g = base.ground
-    return ClosedSetFamily(g, tuple(ElemSet(g, m) for m in out_masks))
+    return tuple(ElemSet(g, m) for m in out_masks)
 
 
 def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:

@@ -390,11 +390,9 @@ class ConsistencyGraph:
 class ValidationReport:
     """Structural facts about an instance, gathered by validate_instance."""
 
-    valid: bool
     n_elements: int
     n_implications: int
-    n_edges: int
-    trivial: bool                        # no edges: the full set is the one answer
+    n_edges: int                         # 0: the problem is trivial, the full set is the one answer
     empty_premises: tuple[int, ...]      # positions of empty-premise rules
     duplicates_removed: int
     self_loops_dropped: int
@@ -416,11 +414,9 @@ def validate_instance(base: ImplicationalBase, graph: ConsistencyGraph) -> Valid
         raise MismatchedGroundSets(f"base and graph ground sets differ: {diff}")
     empty = tuple(i for i, imp in enumerate(base.implications) if not imp.premise)
     return ValidationReport(
-        valid=True,
         n_elements=base.ground.n,
         n_implications=len(base.implications),
         n_edges=len(graph.edges),
-        trivial=len(graph.edges) == 0,
         empty_premises=empty,
         duplicates_removed=base.duplicates_removed,
         self_loops_dropped=graph.self_loops_dropped,

@@ -18,13 +18,17 @@ left a subset of itself in the index.
 Minimal generators are key queries too: the minimal sets whose closure
 holds an element x are the minimal keys of the base plus the rule
 ``{x} -> everything``. The same full-set rules, one per conflict edge,
-augment a base for the solver.
+augment a base for the solver. Each element's saturation runs once per
+base and is kept beside the compiled closure engine, so minimal
+generators, the Carathéodory number and the meet-irreducibles share it.
+
+Every enumeration returns a plain tuple of ElemSet in lectic order,
+ready to become the edges of a transversal.Hypergraph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .closure import _chainer
 from .core import (
@@ -32,11 +36,9 @@ from .core import (
     KEY_CAP,
     ConsistencyGraph,
     ElemSet,
-    GroundSet,
     ImplicationalBase,
     Implication,
     SubsetIndex,
-    format_sets,
 )
 from .errors import (
     EmptyGraph,
@@ -46,35 +48,6 @@ from .errors import (
     NotASuperkey,
     OutputLimitExceeded,
 )
-
-
-@dataclass(frozen=True)
-class KeyHypergraph:
-    """The minimal keys of a base, in lectic order.
-
-    Keys of one base are pairwise incomparable, so the list is an
-    antichain; verify_antichain() rechecks that in tests.
-    """
-
-    ground: GroundSet
-    keys: tuple[ElemSet, ...]
-
-    def __iter__(self) -> Iterator[ElemSet]:
-        return iter(self.keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def verify_antichain(self) -> bool:
-        masks = [k.mask for k in self.keys]
-        return not any(
-            a != b and a & ~b == 0 for a in masks for b in masks
-        )
-
-    def serialize(self) -> str:
-        header = f"keys: {len(self.keys)}"
-        body = format_sets(self.keys)
-        return header + ("\n" + body if body else "")
 
 
 def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
@@ -127,8 +100,8 @@ def minimize_superkey(base: ImplicationalBase, superkey: ElemSet) -> ElemSet:
     return ElemSet(base.ground, _minimize_mask(ch, full, superkey.mask))
 
 
-def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> KeyHypergraph:
-    """All minimal keys of ``base`` by Lucchesi-Osborn saturation.
+def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet, ...]:
+    """All minimal keys of ``base`` by Lucchesi-Osborn saturation, in lectic order.
 
     Raises OutputLimitExceeded with the keys found so far when more
     than ``cap`` keys appear.
@@ -156,12 +129,12 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> KeyHypergraph
             found.append(new)
             index.add(new)
     found.sort()
-    return KeyHypergraph(g, tuple(ElemSet(g, m) for m in found))
+    return tuple(ElemSet(g, m) for m in found)
 
 
 def brute_force_keys(
     base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
-) -> KeyHypergraph:
+) -> tuple[ElemSet, ...]:
     """Reference key enumeration by scanning all subsets, smallest first.
 
     Independent of the saturation path; used as an oracle in tests and
@@ -180,18 +153,21 @@ def brute_force_keys(
         if ch.close(mask) == full:
             found.append(mask)
     found.sort()
-    return KeyHypergraph(g, tuple(ElemSet(g, m) for m in found))
+    return tuple(ElemSet(g, m) for m in found)
 
 
-@dataclass(frozen=True)
-class MinGenRecord:
-    """All inclusion-minimal sets whose closure contains one element."""
+def _element_keys(base: ImplicationalBase, element: int) -> tuple[ElemSet, ...]:
+    # The minimal keys of the base plus {element} -> everything, saturated
+    # once per base: the tuples are immutable, so the compiled engine
+    # cached on the base keeps them for every later query.
+    memo = _chainer(base).element_keys
+    keys = memo.get(element)
+    if keys is None:
+        keys = memo[element] = enumerate_keys(_with_full_rules(base, [1 << element]))
+    return keys
 
-    element: int
-    generators: tuple[ElemSet, ...]
 
-
-def minimal_generators(base: ImplicationalBase, element: int) -> MinGenRecord:
+def minimal_generators(base: ImplicationalBase, element: int) -> tuple[ElemSet, ...]:
     """Every inclusion-minimal non-empty set A with ``element`` in close(A).
 
     These are the minimal keys of the base plus ``{element} ->
@@ -203,16 +179,16 @@ def minimal_generators(base: ImplicationalBase, element: int) -> MinGenRecord:
     g = base.ground
     if not 0 <= element < g.n:
         raise ValueError(f"element index {element} out of range")
-    keys = enumerate_keys(_with_full_rules(base, [1 << element])).keys
+    keys = _element_keys(base, element)
     if keys[0].mask == 0:
-        keys = tuple(ElemSet(g, 1 << i) for i in range(g.n))
-    return MinGenRecord(element, keys)
+        return tuple(ElemSet(g, 1 << i) for i in range(g.n))
+    return keys
 
 
 def caratheodory_number(base: ImplicationalBase) -> int:
     """The largest size of any minimal generator, 1 when only trivial ones exist."""
     return max(
-        (len(gen) for x in range(base.ground.n) for gen in minimal_generators(base, x).generators),
+        (len(gen) for x in range(base.ground.n) for gen in minimal_generators(base, x)),
         default=1,
     )
 
@@ -235,10 +211,10 @@ def key_decomposition(
         raise MismatchedGroundSets("key, base and graph must share a ground set")
     kmask = key.mask
     for u, v in graph.edges:
-        gens_u = [a for a in minimal_generators(base, u).generators if a.mask & ~kmask == 0]
+        gens_u = [a for a in minimal_generators(base, u) if a.mask & ~kmask == 0]
         if not gens_u:
             continue
-        gens_v = [a for a in minimal_generators(base, v).generators if a.mask & ~kmask == 0]
+        gens_v = [a for a in minimal_generators(base, v) if a.mask & ~kmask == 0]
         for a_u in gens_u:
             for a_v in gens_v:
                 if a_u.mask | a_v.mask == kmask:

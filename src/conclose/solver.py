@@ -9,14 +9,17 @@ per conflict edge that forces the full set; the maximal consistent
 closed sets are then the co-atoms of the augmented base.
 meet_irreducibles() adds the rule ``{x} -> everything`` for one element
 x at a time; the co-atoms are then the closed sets maximal among those
-missing x. A subset-scan oracle over the closed-set family is provided
-for cross-checking at desk scale.
+missing x. Each of the three hands the lectic key tuple straight to
+transversal.Hypergraph. The empty set is a key exactly when close(∅) is
+the full set; it is then the one edge, and no set avoids it, so no
+special case is needed. A subset-scan oracle over the closed-set family
+is provided for cross-checking at desk scale.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .closure import close, enumerate_closed_sets, is_closed
 from .core import (
@@ -30,7 +33,7 @@ from .core import (
     format_sets,
 )
 from .errors import MismatchedGroundSets
-from .keys import _with_full_rules, augment_with_inconsistency, enumerate_keys
+from .keys import _element_keys, augment_with_inconsistency, enumerate_keys
 from .transversal import Hypergraph, maximal_independent_sets
 
 
@@ -46,7 +49,7 @@ class SolveStats:
     seconds: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"key_count": self.key_count, "seconds": dict(self.seconds)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -72,20 +75,14 @@ def _require_shared_ground(base: ImplicationalBase, graph: ConsistencyGraph) -> 
         raise MismatchedGroundSets("base and graph ground sets differ")
 
 
-def _key_free_maxima(ground: GroundSet, keys: tuple[ElemSet, ...], mis_cap: int) -> list[ElemSet]:
-    # The maximal sets containing no key, in lectic order.
-    if any(k.mask == 0 for k in keys):
-        return []  # the empty set is a key: every set contains one
-    return maximal_independent_sets(Hypergraph(ground, keys), cap=mis_cap)
-
-
 def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS_CAP) -> list[ElemSet]:
     """Maximal closed sets different from the full set, in lectic order.
 
     These are the maximal sets containing no minimal key of ``base``.
     Either phase may raise OutputLimitExceeded.
     """
-    return _key_free_maxima(base.ground, enumerate_keys(base, cap=key_cap).keys, mis_cap)
+    keys = enumerate_keys(base, cap=key_cap)
+    return maximal_independent_sets(Hypergraph(base.ground, keys), cap=mis_cap)
 
 
 def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
@@ -100,7 +97,7 @@ def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
     g = base.ground
     cover: dict[int, int] = {}
     for x in range(g.n):
-        for m in co_atoms(_with_full_rules(base, [1 << x])):
+        for m in maximal_independent_sets(Hypergraph(g, _element_keys(base, x))):
             if m.mask not in cover:
                 cover[m.mask] = close(base, m.add(x)).mask
     return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
@@ -129,12 +126,12 @@ def solve(
 
     t0 = time.perf_counter()
     augmented = augment_with_inconsistency(base, graph)
-    hyper_keys = enumerate_keys(augmented, cap=key_cap)
+    keys = enumerate_keys(augmented, cap=key_cap)
     t1 = time.perf_counter()
-    sets = tuple(_key_free_maxima(g, hyper_keys.keys, mis_cap))
+    sets = tuple(maximal_independent_sets(Hypergraph(g, keys), cap=mis_cap))
     t2 = time.perf_counter()
 
-    stats = SolveStats(key_count=len(hyper_keys), seconds={"keys": t1 - t0, "mis": t2 - t1})
+    stats = SolveStats(key_count=len(keys), seconds={"keys": t1 - t0, "mis": t2 - t1})
     return SolutionSet(g, sets, stats)
 
 

@@ -21,7 +21,9 @@ class Hypergraph:
 
     Edges that contain another edge are dropped at construction; for
     every independence or transversal question the two hypergraphs are
-    equivalent. Empty edges are rejected since nothing can hit them.
+    equivalent. An empty edge is then the only edge: nothing hits it and
+    every set contains it, so there is no transversal and no independent
+    set.
     """
 
     __slots__ = ("ground", "edges")
@@ -31,8 +33,6 @@ class Hypergraph:
         for e in edges:
             if e.ground != ground:
                 raise MismatchedGroundSets("edge over a different ground set")
-            if e.mask == 0:
-                raise ValueError("hypergraph edges must be non-empty")
             masks.add(e.mask)
         self.ground = ground
         self.edges = tuple(ElemSet(ground, m) for m in minimal(ground.n, masks))
@@ -76,11 +76,9 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
     working list is exactly the antichain of minimal transversals of
     the prefix, so intermediate growth is what the final answer plus
     one crossing step requires. Raises OutputLimitExceeded if the
-    working list ever exceeds ``cap``.
+    working list ever grows past ``cap``, or ends past it.
     """
     g = hyper.ground
-    if cap < 1:  # the working list starts as the one empty transversal
-        raise OutputLimitExceeded("transversals", cap, [ElemSet(g, 0)])
     trans: list[int] = [0]
     for e in hyper.edges:
         em = e.mask
@@ -102,6 +100,8 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
             trans.append(c)
             if len(trans) > cap:
                 raise OutputLimitExceeded("transversals", cap, [ElemSet(g, m) for m in trans])
+    if len(trans) > cap:  # no edge: the starting empty transversal is the answer
+        raise OutputLimitExceeded("transversals", cap, [ElemSet(g, 0)])
     trans.sort()
     return [ElemSet(g, m) for m in trans]
 

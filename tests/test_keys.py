@@ -27,7 +27,7 @@ from conclose import (
 from conclose import keys as keys_module
 from conclose.closure import _chainer
 from conclose.core import SubsetIndex
-from oracles import as_label_sets, naive_keys
+from oracles import as_label_sets, labelset, minimal_only, naive_keys
 
 DEMO_KEYS = {
     frozenset({"2", "4"}),
@@ -74,7 +74,8 @@ def test_demo_keys(demo_base, demo_graph):
     keys = enumerate_keys(aug)
     assert as_label_sets(keys) == DEMO_KEYS
     assert [k.to_text() for k in keys] == ["2 4", "3 4", "2 5", "1 3 5"]
-    assert keys.verify_antichain()
+    labels = [labelset(k) for k in keys]
+    assert minimal_only(labels) == labels
     assert as_label_sets(brute_force_keys(aug)) == DEMO_KEYS
 
 
@@ -115,7 +116,8 @@ def test_keys_match_brute_force_on_randoms():
         keys = enumerate_keys(aug)
         assert as_label_sets(keys) == as_label_sets(brute_force_keys(aug))
         assert as_label_sets(keys) == naive_keys(aug)
-        assert keys.verify_antichain()
+        labels = [labelset(k) for k in keys]
+        assert minimal_only(labels) == labels
         # every key splits into two generators, so it cannot out-size two of them
         cara = caratheodory_number(base)
         for k in keys:
@@ -148,13 +150,6 @@ def test_key_cap_reports_partial():
         enumerate_keys(aug, cap=5)
     assert err.value.phase == "keys"
     assert len(err.value.partial) >= 5
-
-
-def test_serialize_has_count_header(demo_base, demo_graph):
-    aug = augment_with_inconsistency(demo_base, demo_graph)
-    lines = enumerate_keys(aug).serialize().splitlines()
-    assert lines[0] == "keys: 4"
-    assert lines[1:] == ["2 4", "3 4", "2 5", "1 3 5"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,7 @@ def test_decomposition_pieces_are_generators(demo_base, demo_graph):
         assert (u, v) in demo_graph.edges
         assert gen_u | gen_v == k
         for elem, gen in ((u, gen_u), (v, gen_v)):
-            assert gen in minimal_generators(demo_base, elem).generators
+            assert gen in minimal_generators(demo_base, elem)
 
 
 # ---------------------------------------------------------------------------
@@ -258,4 +253,24 @@ def test_saturation_work_guards(monkeypatch):
     assert len(keys) > 1
     assert looked_up and max(looked_up.values()) == 1
     assert len(minimized) == len(keys)
-    assert keys.keys == brute_force_keys(aug).keys
+    assert keys == brute_force_keys(aug)
+
+
+def test_decomposition_reuses_generator_saturations(monkeypatch):
+    # key_decomposition reads minimal generators, which saturate once per
+    # element and base; decomposing every key adds no saturation after that.
+    base, graph = gen_exponential(3)
+    keys = enumerate_keys(augment_with_inconsistency(base, graph))
+    calls = []
+    saturate = keys_module.enumerate_keys
+
+    def counting(b, *args, **kwargs):
+        calls.append(b)
+        return saturate(b, *args, **kwargs)
+
+    monkeypatch.setattr(keys_module, "enumerate_keys", counting)
+    for k in keys:
+        key_decomposition(base, graph, k)
+    endpoints = {x for edge in graph.edges for x in edge}
+    assert len(keys) == 9
+    assert len(calls) == len(endpoints) == 2

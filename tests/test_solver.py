@@ -7,8 +7,11 @@ from conclose import (
     GroundSetTooLarge,
     OutputLimitExceeded,
     brute_force_solve,
+    co_atoms,
+    enumerate_keys,
     gen_random,
     is_solution,
+    meet_irreducibles,
     parse_instance,
     solve,
 )
@@ -114,3 +117,15 @@ def test_brute_force_respects_ground_limit():
 def test_solution_serialize(demo_base, demo_graph):
     text = solve(demo_base, demo_graph).serialize()
     assert text.splitlines() == ["1 2 3", "3 5", "1 4 5"]
+
+
+def test_empty_key_base_has_no_co_atoms_and_no_solutions():
+    # "-> everything" closes the empty set to the full set: the empty set
+    # is the one key, so no proper closed set and no consistent one exists.
+    base, graph = parse_instance("elements: a b c\nimp: -> a b c\nedge: a b\n")
+    assert enumerate_keys(base) == (base.ground.empty(),)
+    assert co_atoms(base) == []
+    assert meet_irreducibles(base) == []
+    sol = solve(base, graph)
+    assert sol.sets == () == brute_force_solve(base, graph).sets
+    assert sol.stats.key_count == 1

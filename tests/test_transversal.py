@@ -25,10 +25,16 @@ def test_edges_become_an_antichain():
     assert as_label_sets(h.edges) == {frozenset("a"), frozenset("bc")}
 
 
-def test_empty_edge_rejected():
-    g = GroundSet(["a"])
-    with pytest.raises(ValueError):
-        Hypergraph(g, [g.empty()])
+def test_empty_edge_has_no_transversal_and_no_independent_set():
+    g = GroundSet(["a", "b"])
+    h = Hypergraph(g, [g.set_of("a"), g.empty(), g.set_of("a", "b")])
+    assert h.edges == (g.empty(),)  # inside every other edge
+    assert minimal_transversals(h) == []
+    assert maximal_independent_sets(h) == []
+    assert naive_transversals(g.labels, [frozenset()]) == set()
+    assert naive_mis(g.labels, [frozenset()]) == set()
+    for s in (g.empty(), g.set_of("b"), g.full()):
+        assert not is_independent(h, s)
 
 
 def test_foreign_edge_rejected():
