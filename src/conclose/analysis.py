@@ -197,6 +197,13 @@ def check_independent(
 ) -> CheckResult:
     """Independence of a set: closure commutes with intersection on all
     pairs of its subsets."""
+    return _check_independent(base, subset, bound, {})
+
+
+def _check_independent(
+    base: ImplicationalBase, subset: ElemSet, bound: int, cl: dict[int, int]
+) -> CheckResult:
+    """check_independent reading and filling the closure memo ``cl``."""
     if len(subset) > bound:
         raise SetTooLarge(f"independence check over {len(subset)} elements exceeds bound {bound}")
     ch = _chainer(base)
@@ -206,10 +213,11 @@ def check_independent(
     s = m
     while True:
         subs.append(s)
+        if s not in cl:
+            cl[s] = ch.close(s)
         if s == 0:
             break
         s = (s - 1) & m
-    cl = {s: ch.close(s) for s in subs}
     for i, y1 in enumerate(subs):
         for y2 in subs[i:]:
             if cl[y1 & y2] != cl[y1] & cl[y2]:
@@ -253,9 +261,16 @@ def check_mingen_independence(
     base: ImplicationalBase, bound: int = INDEPENDENCE_BOUND
 ) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
+    # A generator shared by several elements is checked once, and the
+    # closures of subsets shared between generators are computed once.
+    cl: dict[int, int] = {}
+    checked: set[int] = set()
     for x in range(base.ground.n):
         for gen in minimal_generators(base, x):
-            res = check_independent(base, gen, bound)
+            if gen.mask in checked:
+                continue
+            checked.add(gen.mask)
+            res = _check_independent(base, gen, bound, cl)
             if not res.ok:
                 return CheckResult(
                     False,

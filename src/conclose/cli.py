@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable
 
 from .analysis import analyze
 from .closure import close
@@ -37,11 +38,16 @@ from .keys import augment_with_inconsistency, enumerate_keys
 from .solver import brute_force_solve, co_atoms, solve
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], dict],
+    text_lines: Callable[[], Iterable[str]],
+) -> None:
+    """Print the chosen format; only the chosen one of the two is built."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -52,14 +58,13 @@ def _labels(sets) -> list[list[str]]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     base, graph = load_instance(args.instance)
     result = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
-    stats = result.stats.to_dict()
     _emit(
         args,
-        {"solutions": _labels(result.sets), "stats": stats},
-        [s.to_text() for s in result.sets],
+        lambda: {"solutions": _labels(result.sets), "stats": result.stats.to_dict()},
+        lambda: [s.to_text() for s in result.sets],
     )
     if args.format == "text":
-        print(f"stats: keys={stats['key_count']}", file=sys.stderr)
+        print(f"stats: keys={result.stats.key_count}", file=sys.stderr)
     return 0
 
 
@@ -75,8 +80,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         verdict = "agree" if tuple(fast.sets) == tuple(oracle.sets) else "disagree"
     _emit(
         args,
-        {"solutions": _labels(oracle.sets), "agreement": verdict},
-        [s.to_text() for s in oracle.sets] + [f"agreement: {verdict}"],
+        lambda: {"solutions": _labels(oracle.sets), "agreement": verdict},
+        lambda: [s.to_text() for s in oracle.sets] + [f"agreement: {verdict}"],
     )
     return 1 if verdict == "disagree" else 0
 
@@ -88,8 +93,8 @@ def _cmd_keys(args: argparse.Namespace) -> int:
     keys = enumerate_keys(base, cap=args.cap_keys)
     _emit(
         args,
-        {"count": len(keys), "keys": _labels(keys)},
-        [f"keys: {len(keys)}"] + [k.to_text() for k in keys],
+        lambda: {"count": len(keys), "keys": _labels(keys)},
+        lambda: [f"keys: {len(keys)}"] + [k.to_text() for k in keys],
     )
     return 0
 
@@ -104,8 +109,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     result = close(base, subset)
     _emit(
         args,
-        {"set": list(subset.labels()), "closure": list(result.labels())},
-        [result.to_text()],
+        lambda: {"set": list(subset.labels()), "closure": list(result.labels())},
+        lambda: [result.to_text()],
     )
     return 0
 
@@ -113,14 +118,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_coatoms(args: argparse.Namespace) -> int:
     base, _ = load_instance(args.instance)
     tops = co_atoms(base, key_cap=args.cap_keys, mis_cap=args.cap_mis)
-    _emit(args, {"coatoms": _labels(tops)}, [s.to_text() for s in tops])
+    _emit(args, lambda: {"coatoms": _labels(tops)}, lambda: [s.to_text() for s in tops])
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     base, _ = load_instance(args.instance)
     report = analyze(base, limit=args.limit_ground)
-    _emit(args, report.to_dict(), report.render_text().splitlines())
+    _emit(args, report.to_dict, lambda: report.render_text().splitlines())
     return 0
 
 

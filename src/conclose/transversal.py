@@ -1,18 +1,19 @@
 """Hypergraph transversals and maximal independent sets.
 
 Maximal independent sets are computed through the classic duality: the
-complements of the minimal transversals. Transversals are built by
-Berge multiplication, folding one edge at a time into the running
-antichain of minimal partial transversals. Both the edge antichain and
-the minimality filter of each step ask whether a candidate contains an
-already kept set; a core.SubsetIndex answers that in one packed query.
+complements of the minimal transversals. Transversals are enumerated by
+the depth-first MMCS search of Murakami and Uno, which keeps per chosen
+vertex the edges only it hits, so it needs space polynomial in the
+input and stores nothing but its output; the results are sorted into
+lectic order at the end. The edge antichain of a Hypergraph is taken
+with core.minimal.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import MIS_CAP, ElemSet, GroundSet, SubsetIndex, format_sets, iter_bits, minimal
+from .core import MIS_CAP, ElemSet, GroundSet, format_sets, iter_bits, minimal
 from .errors import MismatchedGroundSets, OutputLimitExceeded
 
 
@@ -72,38 +73,62 @@ def is_independent(hyper: Hypergraph, subset: ElemSet) -> bool:
 def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]:
     """All inclusion-minimal sets meeting every edge, in lectic order.
 
-    Processes edges by increasing bit pattern. After each edge the
-    working list is exactly the antichain of minimal transversals of
-    the prefix, so intermediate growth is what the final answer plus
-    one crossing step requires. Raises OutputLimitExceeded if the
-    working list ever grows past ``cap``, or ends past it.
+    Depth-first MMCS search (Murakami & Uno 2014). Edge i is bit i of an
+    edge mask, edges taken by (size, mask), and ``occ[v]`` masks the
+    edges holding vertex v. A node keeps the chosen vertices, the
+    uncovered edges, and per chosen vertex its critical edges: the edges
+    it alone hits. A vertex joins only if every chosen vertex keeps a
+    critical edge, so each leaf with no uncovered edge is a minimal
+    transversal, and each is reached once. Only the output is stored.
+    Raises OutputLimitExceeded, holding the transversals found so far,
+    once more than ``cap`` are found.
     """
     g = hyper.ground
-    trans: list[int] = [0]
-    for e in hyper.edges:
-        em = e.mask
-        missing = [t for t in trans if not t & em]
-        trans = [t for t in trans if t & em]
-        # Cross every non-hitting transversal with every vertex of the
-        # edge, then keep only the minimal results. A candidate is
-        # redundant iff it contains a kept transversal or an already
-        # accepted smaller candidate; the index holds both.
-        cands = sorted(
-            {t | (1 << i) for t in missing for i in iter_bits(em)},
-            key=lambda m: (m.bit_count(), m),
-        )
-        index = SubsetIndex(g.n, trans)
-        for c in cands:
-            if index.has_subset_of(c):
-                continue
-            index.add(c)
-            trans.append(c)
-            if len(trans) > cap:
-                raise OutputLimitExceeded("transversals", cap, [ElemSet(g, m) for m in trans])
-    if len(trans) > cap:  # no edge: the starting empty transversal is the answer
-        raise OutputLimitExceeded("transversals", cap, [ElemSet(g, 0)])
-    trans.sort()
-    return [ElemSet(g, m) for m in trans]
+    edges = sorted((e.mask for e in hyper.edges), key=lambda m: (m.bit_count(), m))
+    occ = [0] * g.n
+    for i, em in enumerate(edges):
+        for v in iter_bits(em):
+            occ[v] |= 1 << i
+    found: list[int] = []
+
+    def extend(chosen: int, crit: list[int], cand: int, uncov: int) -> None:
+        if not uncov:
+            found.append(chosen)
+            if len(found) > cap:
+                partial = [ElemSet(g, m) for m in sorted(found)]
+                raise OutputLimitExceeded("transversals", cap, partial)
+            return
+        # Branch on the uncovered edge with the fewest candidates, but
+        # stop scanning once the edges scanned reach the best count: the
+        # scan then never costs more than the branching it can save.
+        best, best_count, scanned, rest = 0, g.n + 1, 0, uncov
+        while rest:
+            low = rest & -rest
+            c = edges[low.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < best_count:
+                best, best_count = c, k
+            scanned += 1
+            if best_count <= 1 or scanned >= best_count:
+                break
+            rest ^= low
+        # Each transversal through this edge is found under the last of
+        # its vertices in the edge: the earlier ones are candidates there.
+        cand &= ~best
+        while best:
+            low = best & -best
+            hit = occ[low.bit_length() - 1]
+            miss = ~hit
+            kept = [c & miss for c in crit]
+            if all(kept):
+                kept.append(uncov & hit)
+                extend(chosen | low, kept, cand, uncov & miss)
+            cand |= low
+            best ^= low
+
+    extend(0, [], g.full_mask, (1 << len(edges)) - 1)
+    found.sort()
+    return [ElemSet(g, m) for m in found]
 
 
 def maximal_independent_sets(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]:

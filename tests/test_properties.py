@@ -1,10 +1,12 @@
 """Hypothesis property tests: the packed subset index against the naive
 scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
-co-atoms against the closed-set family, the structure queries (minimal
-generators, meet-irreducibles, distributivity) against their definitions,
-and the text format round trip."""
+co-atoms against the closed-set family, the dualizer against a subset
+scan, the structure queries (minimal generators, meet-irreducibles,
+distributivity) against their definitions, and the text format round
+trip."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from conclose import (
     ConsistencyGraph,
     ElemSet,
     GroundSet,
+    Hypergraph,
     Implication,
     ImplicationalBase,
     augment_with_inconsistency,
@@ -24,12 +27,15 @@ from conclose import (
     enumerate_closed_sets,
     enumerate_keys,
     format_instance,
+    maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
+    minimal_transversals,
     parse_instance,
     solve,
 )
 from conclose.core import SubsetIndex, minimal
+from conclose.errors import OutputLimitExceeded
 from oracles import labelset, naive_distributive, naive_is_closed, naive_meet_irreducibles
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -146,6 +152,62 @@ def test_co_atoms_match_maximal_proper_closed_sets(instance):
         if not any(m & ~o == 0 for o in maximal):
             maximal.append(m)
     assert [s.mask for s in co_atoms(base)] == sorted(maximal)
+
+
+@st.composite
+def edge_lists(draw):
+    """A ground size n <= 10 and an edge list with repeats, edges that
+    contain other edges, sometimes the empty edge, sometimes no edge."""
+    n = draw(st.integers(0, 10))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(mask, max_size=4))
+    edges = draw(st.lists(st.sampled_from(pool) | mask if pool else mask, max_size=10))
+    edges += [e | draw(mask) for e in edges[: draw(st.integers(0, len(edges)))]]
+    if draw(st.integers(0, 4)) == 0:
+        edges.append(0)
+    return n, edges
+
+
+def key_edges(instance):
+    """The key hypergraph that solve dualizes: keys of the augmented base."""
+    base, graph = instance
+    keys = enumerate_keys(augment_with_inconsistency(base, graph))
+    return base.ground.n, [k.mask for k in keys]
+
+
+@PIPELINE
+@example((3, []), 0)
+@example((2, [0, 1]), 0)
+@example(key_edges(EVERYTHING), 0)
+@given(st.one_of(edge_lists(), instances(max_n=10).map(key_edges)), st.integers(0, 1 << 10))
+def test_dualization_matches_subset_scan(hypergraph, pick):
+    n, edges = hypergraph
+    g = GroundSet(str(i) for i in range(n))
+    h = Hypergraph(g, [ElemSet(g, e) for e in edges])
+    bits = [1 << v for v in range(n)]
+
+    # Hitting every edge is upward closed: a transversal is minimal iff
+    # dropping any one element breaks it.
+    def hits(t):
+        return all(t & e for e in edges)
+
+    trans = [t for t in range(1 << n) if hits(t) and not any(hits(t ^ b) for b in bits if t & b)]
+
+    # Containing no edge is downward closed: an independent set is
+    # maximal iff adding any one element breaks it.
+    def free(s):
+        return not any(e & ~s == 0 for e in edges)
+
+    mis = [s for s in range(1 << n) if free(s) and not any(free(s | b) for b in bits if not s & b)]
+    assert [t.mask for t in minimal_transversals(h)] == trans
+    assert [s.mask for s in maximal_independent_sets(h)] == mis
+    if trans:
+        # The cap counts finished transversals of the whole hypergraph.
+        cap = pick % len(trans)
+        with pytest.raises(OutputLimitExceeded) as err:
+            minimal_transversals(h, cap=cap)
+        partial = [t.mask for t in err.value.partial]
+        assert len(partial) == cap + 1 and set(partial) <= set(trans)
 
 
 @st.composite

@@ -132,6 +132,28 @@ def test_transversal_cap_reports_partial():
     assert len(err.value.partial) >= 3
 
 
+def test_transversal_cap_partial_holds_only_minimal_transversals():
+    # The cap counts finished transversals of the whole hypergraph, so a
+    # partial result never holds a set that misses an edge.
+    h = hg("abcdef", "ab", "cd", "ef")
+    answer = set(minimal_transversals(h))
+    for cap in range(len(answer)):
+        with pytest.raises(OutputLimitExceeded) as err:
+            minimal_transversals(h, cap=cap)
+        assert len(err.value.partial) == cap + 1
+        assert set(err.value.partial) <= answer
+
+
+def test_cap_counts_the_answer_not_edge_prefixes():
+    # The edges {a,c} and {b,d} alone have four minimal transversals;
+    # {c,d} cuts them to three, and a cap of three is enough.
+    h = hg("abcd", "ac", "bd", "cd")
+    answer = minimal_transversals(h)
+    assert as_label_sets(answer) == {frozenset("ad"), frozenset("bc"), frozenset("cd")}
+    assert minimal_transversals(h, cap=3) == answer
+    assert len(maximal_independent_sets(h, cap=3)) == 3
+
+
 def test_mis_cap_propagates():
     h = hg("abcdef", "ab", "cd", "ef")
     with pytest.raises(OutputLimitExceeded):
