@@ -24,7 +24,7 @@ from .core import (
     ImplicationalBase,
     iter_bits,
 )
-from .errors import HypothesesNotMet, NotStandard, SetTooLarge
+from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard, SetTooLarge
 from .keys import caratheodory_number, minimal_generators
 from .solver import meet_irreducibles
 
@@ -197,6 +197,8 @@ def check_independent(
 ) -> CheckResult:
     """Independence of a set: closure commutes with intersection on all
     pairs of its subsets."""
+    if subset.ground != base.ground:
+        raise MismatchedGroundSets("set and base over different ground sets")
     return _check_independent(base, subset, bound, {})
 
 
@@ -238,6 +240,8 @@ def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResu
     In modular systems this single chain, taken in index order, is
     equivalent to full subset-pair independence.
     """
+    if subset.ground != base.ground:
+        raise MismatchedGroundSets("set and base over different ground sets")
     ch = _chainer(base)
     g = base.ground
     elems = list(iter_bits(subset.mask))

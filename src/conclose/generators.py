@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .core import (
     ConsistencyGraph,
@@ -319,7 +320,9 @@ def gen_random(
 
     Premises draw 1..max_premise distinct elements, conclusions one or
     two; rules whose conclusion adds nothing to their premise are
-    redrawn. Edges are sampled without replacement from all pairs.
+    redrawn. Edges are sampled without replacement from all pairs. A
+    request for more rules than there are distinct ones returns every
+    distinct rule.
     """
     if n < 1:
         raise InvalidParams("n must be at least 1")
@@ -333,10 +336,16 @@ def gen_random(
     g = GroundSet([str(i) for i in range(1, n + 1)])
     elems = list(range(n))
 
+    # Each premise size p allows C(n, c) - C(p, c) conclusions of size c.
+    distinct = sum(
+        comb(n, p) * sum(comb(n, c) - comb(p, c) for c in range(1, min(2, n) + 1))
+        for p in range(1, max_premise + 1)
+    )
+    wanted = min(n_imps, distinct)
     seen: set[tuple[int, int]] = set()
     rules: list[Implication] = []
     attempts = 0
-    while len(rules) < n_imps and attempts < 50 * (n_imps + 1):
+    while len(rules) < wanted and attempts < 50 * (n_imps + 1):
         attempts += 1
         psize = rng.randint(1, max_premise)
         premise = rng.sample(elems, psize)

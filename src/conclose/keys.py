@@ -22,8 +22,9 @@ augment a base for the solver. Each element's saturation runs once per
 base and is kept beside the compiled closure engine, so minimal
 generators, the Carathéodory number and the meet-irreducibles share it.
 
-Every enumeration returns a plain tuple of ElemSet in lectic order,
-ready to become the edges of a transversal.Hypergraph.
+Every enumeration returns a plain tuple of ElemSet in lectic order. The
+minimal keys are a duplicate-free antichain, and the tuple goes as it is
+to transversal.maximal_independent_sets as its edge list.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ per conflict edge that forces the full set; the maximal consistent
 closed sets are then the co-atoms of the augmented base.
 meet_irreducibles() adds the rule ``{x} -> everything`` for one element
 x at a time; the co-atoms are then the closed sets maximal among those
-missing x. Each of the three hands the lectic key tuple straight to
-transversal.Hypergraph. The empty set is a key exactly when close(∅) is
-the full set; it is then the one edge, and no set avoids it, so no
+missing x. Each of the three hands its lectic key tuple straight to
+transversal.maximal_independent_sets as the edge list, with no
+antichain pass between. The empty set is a key exactly when close(∅)
+is the full set; it is then the one edge, and no set avoids it, so no
 special case is needed. A subset-scan oracle over the closed-set family
 is provided for cross-checking at desk scale.
 """
@@ -34,7 +35,7 @@ from .core import (
 )
 from .errors import MismatchedGroundSets
 from .keys import _element_keys, augment_with_inconsistency, enumerate_keys
-from .transversal import Hypergraph, maximal_independent_sets
+from .transversal import maximal_independent_sets
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS
     Either phase may raise OutputLimitExceeded.
     """
     keys = enumerate_keys(base, cap=key_cap)
-    return maximal_independent_sets(Hypergraph(base.ground, keys), cap=mis_cap)
+    return maximal_independent_sets(base.ground, keys, cap=mis_cap)
 
 
 def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
@@ -97,7 +98,7 @@ def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
     g = base.ground
     cover: dict[int, int] = {}
     for x in range(g.n):
-        for m in maximal_independent_sets(Hypergraph(g, _element_keys(base, x))):
+        for m in maximal_independent_sets(g, _element_keys(base, x)):
             if m.mask not in cover:
                 cover[m.mask] = close(base, m.add(x)).mask
     return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
@@ -128,7 +129,7 @@ def solve(
     augmented = augment_with_inconsistency(base, graph)
     keys = enumerate_keys(augmented, cap=key_cap)
     t1 = time.perf_counter()
-    sets = tuple(maximal_independent_sets(Hypergraph(g, keys), cap=mis_cap))
+    sets = tuple(maximal_independent_sets(g, keys, cap=mis_cap))
     t2 = time.perf_counter()
 
     stats = SolveStats(key_count=len(keys), seconds={"keys": t1 - t0, "mis": t2 - t1})

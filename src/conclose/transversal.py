@@ -5,72 +5,30 @@ complements of the minimal transversals. Transversals are enumerated by
 the depth-first MMCS search of Murakami and Uno, which keeps per chosen
 vertex the edges only it hits, so it needs space polynomial in the
 input and stores nothing but its output; the results are sorted into
-lectic order at the end. The edge antichain of a Hypergraph is taken
-with core.minimal.
+lectic order at the end. A hypergraph is just its ground set and an
+iterable of edges, read once. The edges need not be an antichain:
+repeats are dropped, and when an edge A lies inside an edge B that is
+critical for a chosen vertex v, A meets the chosen set only in v and is
+critical for v too, so nested edges change no answer. An empty edge is
+hit by nothing, so it leaves no transversal and no independent set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .core import MIS_CAP, ElemSet, GroundSet, format_sets, iter_bits, minimal
+from .core import MIS_CAP, ElemSet, GroundSet, iter_bits
 from .errors import MismatchedGroundSets, OutputLimitExceeded
 
 
-class Hypergraph:
-    """A finite hypergraph reduced to its antichain of minimal edges.
-
-    Edges that contain another edge are dropped at construction; for
-    every independence or transversal question the two hypergraphs are
-    equivalent. An empty edge is then the only edge: nothing hits it and
-    every set contains it, so there is no transversal and no independent
-    set.
-    """
-
-    __slots__ = ("ground", "edges")
-
-    def __init__(self, ground: GroundSet, edges: Iterable[ElemSet]):
-        masks = set()
-        for e in edges:
-            if e.ground != ground:
-                raise MismatchedGroundSets("edge over a different ground set")
-            masks.add(e.mask)
-        self.ground = ground
-        self.edges = tuple(ElemSet(ground, m) for m in minimal(ground.n, masks))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[ElemSet]:
-        return iter(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.ground == other.ground
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground, tuple(e.mask for e in self.edges)))
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(n={self.ground.n}, edges={len(self.edges)})"
-
-    def serialize(self) -> str:
-        return format_sets(self.edges)
+def is_independent(edges: Iterable[ElemSet], subset: ElemSet) -> bool:
+    """True iff ``subset`` contains none of ``edges``."""
+    return not any(e <= subset for e in edges)
 
 
-def is_independent(hyper: Hypergraph, subset: ElemSet) -> bool:
-    """True iff ``subset`` contains no edge of the hypergraph."""
-    m = subset.mask
-    for e in hyper.edges:
-        if e.mask & ~m == 0:
-            return False
-    return True
-
-
-def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]:
+def minimal_transversals(
+    ground: GroundSet, edges: Iterable[ElemSet], cap: int = MIS_CAP
+) -> list[ElemSet]:
     """All inclusion-minimal sets meeting every edge, in lectic order.
 
     Depth-first MMCS search (Murakami & Uno 2014). Edge i is bit i of an
@@ -81,11 +39,16 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
     critical edge, so each leaf with no uncovered edge is a minimal
     transversal, and each is reached once. Only the output is stored.
     Raises OutputLimitExceeded, holding the transversals found so far,
-    once more than ``cap`` are found.
+    once more than ``cap`` are found, and MismatchedGroundSets for an
+    edge over another ground set.
     """
-    g = hyper.ground
-    edges = sorted((e.mask for e in hyper.edges), key=lambda m: (m.bit_count(), m))
-    occ = [0] * g.n
+    masks = set()
+    for e in edges:
+        if e.ground != ground:
+            raise MismatchedGroundSets("edge over a different ground set")
+        masks.add(e.mask)
+    edges = sorted(masks, key=lambda m: (m.bit_count(), m))
+    occ = [0] * ground.n
     for i, em in enumerate(edges):
         for v in iter_bits(em):
             occ[v] |= 1 << i
@@ -95,13 +58,13 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
         if not uncov:
             found.append(chosen)
             if len(found) > cap:
-                partial = [ElemSet(g, m) for m in sorted(found)]
+                partial = [ElemSet(ground, m) for m in sorted(found)]
                 raise OutputLimitExceeded("transversals", cap, partial)
             return
         # Branch on the uncovered edge with the fewest candidates, but
         # stop scanning once the edges scanned reach the best count: the
         # scan then never costs more than the branching it can save.
-        best, best_count, scanned, rest = 0, g.n + 1, 0, uncov
+        best, best_count, scanned, rest = 0, ground.n + 1, 0, uncov
         while rest:
             low = rest & -rest
             c = edges[low.bit_length() - 1] & cand
@@ -126,17 +89,18 @@ def minimal_transversals(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]
             cand |= low
             best ^= low
 
-    extend(0, [], g.full_mask, (1 << len(edges)) - 1)
+    extend(0, [], ground.full_mask, (1 << len(edges)) - 1)
     found.sort()
-    return [ElemSet(g, m) for m in found]
+    return [ElemSet(ground, m) for m in found]
 
 
-def maximal_independent_sets(hyper: Hypergraph, cap: int = MIS_CAP) -> list[ElemSet]:
+def maximal_independent_sets(
+    ground: GroundSet, edges: Iterable[ElemSet], cap: int = MIS_CAP
+) -> list[ElemSet]:
     """All maximal edge-free subsets, as complements of minimal transversals.
 
     ``full ^ t == full - t``, so complementing the lectic list of
     transversals reverses its order.
     """
-    g = hyper.ground
-    full = g.full_mask
-    return [ElemSet(g, full ^ t.mask) for t in reversed(minimal_transversals(hyper, cap))]
+    full = ground.full_mask
+    return [ElemSet(ground, full ^ t.mask) for t in reversed(minimal_transversals(ground, edges, cap))]

@@ -8,6 +8,8 @@ from conclose import (
     MismatchedGroundSets,
     NotClosed,
     caratheodory_number,
+    check_chain_condition,
+    check_independent,
     close,
     co_atoms,
     covers,
@@ -67,10 +69,12 @@ def test_is_closed_demo(demo_base):
 
 
 def test_close_and_is_closed_reject_a_foreign_set(demo_base):
-    other = simple("elements: 1 2 3 4 5 6\n").ground.full()
-    for fn in (close, is_closed):
-        with pytest.raises(MismatchedGroundSets):
-            fn(demo_base, other)
+    larger = simple("elements: 1 2 3 4 5 6\n").ground.full()
+    relabelled = simple("elements: a b c d e\n").ground.set_of("a", "b")
+    for fn in (close, is_closed, check_independent, check_chain_condition):
+        for other in (larger, relabelled):
+            with pytest.raises(MismatchedGroundSets):
+                fn(demo_base, other)
 
 
 def test_close_operator_laws_random():

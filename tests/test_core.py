@@ -1,4 +1,8 @@
+import importlib
+import pkgutil
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,24 @@ def test_public_names_resolve_once():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(conclose, name), name
+
+
+def test_readme_names_resolve():
+    # Every `module.name` the README cites must exist; `keys.py` is a file.
+    modules = {m.name for m in pkgutil.iter_modules(conclose.__path__)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`(\w+(?:\.\w+)+)`", readme))
+    checked = 0
+    for name in sorted(cited):
+        first, *rest = name.split(".")
+        if first not in modules or name.endswith(".py"):
+            continue
+        obj = importlib.import_module(f"conclose.{first}")
+        for part in rest:
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)
+        checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------

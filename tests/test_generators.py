@@ -304,6 +304,13 @@ def test_random_rejects_bad_params(kwargs):
         gen_random(**kwargs)
 
 
+def test_random_returns_every_distinct_rule_when_asked_for_more():
+    # One-element premises over 3 elements allow 3 * (2 + 3) = 15 rules.
+    base, _ = gen_random(3, 10**8, 1, 0, 0)
+    assert len(base) == 15
+    assert len(set(rule_pairs(base))) == 15
+
+
 def test_random_agrees_with_brute_force_quickly():
     base, graph = gen_random(6, 6, 2, 3, seed=31)
     assert solve(base, graph).sets == brute_force_solve(base, graph).sets

@@ -9,12 +9,14 @@ from conclose import (
     brute_force_solve,
     co_atoms,
     enumerate_keys,
+    gen_exponential,
     gen_random,
     is_solution,
     meet_irreducibles,
     parse_instance,
     solve,
 )
+from conclose.core import SubsetIndex
 from oracles import as_label_sets, naive_solve
 
 DEMO_SOLUTIONS = {
@@ -129,3 +131,24 @@ def test_empty_key_base_has_no_co_atoms_and_no_solutions():
     sol = solve(base, graph)
     assert sol.sets == () == brute_force_solve(base, graph).sets
     assert sol.stats.key_count == 1
+
+
+def test_keys_reach_the_dualizer_without_a_second_subset_index(monkeypatch):
+    # Key saturation builds the one index and looks its rewrites up in
+    # it; the dualizer takes the 2^10 + 1 keys as they are, with no
+    # antichain pass and so no index of its own.
+    calls = {"init": 0, "query": 0}
+    init, query = SubsetIndex.__init__, SubsetIndex.has_subset_of
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_query(self, mask):
+        calls["query"] += 1
+        return query(self, mask)
+
+    monkeypatch.setattr(SubsetIndex, "__init__", counted_init)
+    monkeypatch.setattr(SubsetIndex, "has_subset_of", counted_query)
+    solve(*gen_exponential(10))
+    assert calls == {"init": 1, "query": 1025}

@@ -5,7 +5,6 @@ import pytest
 from conclose import (
     ElemSet,
     GroundSet,
-    Hypergraph,
     MismatchedGroundSets,
     OutputLimitExceeded,
     is_independent,
@@ -16,61 +15,57 @@ from oracles import as_label_sets, naive_mis, naive_transversals
 
 
 def hg(labels, *edges):
+    """A ground set and its edge list, the two leading arguments of dualization."""
     g = GroundSet(labels)
-    return Hypergraph(g, [g.set_of(*e) for e in edges])
-
-
-def test_edges_become_an_antichain():
-    h = hg("abc", "a", "ab", "bc")
-    assert as_label_sets(h.edges) == {frozenset("a"), frozenset("bc")}
+    return g, [g.set_of(*e) for e in edges]
 
 
 def test_empty_edge_has_no_transversal_and_no_independent_set():
-    g = GroundSet(["a", "b"])
-    h = Hypergraph(g, [g.set_of("a"), g.empty(), g.set_of("a", "b")])
-    assert h.edges == (g.empty(),)  # inside every other edge
-    assert minimal_transversals(h) == []
-    assert maximal_independent_sets(h) == []
+    # The empty edge lies inside every other edge and nothing hits it.
+    g, edges = hg("ab", "a", "", "ab")
+    assert minimal_transversals(g, edges) == []
+    assert maximal_independent_sets(g, edges) == []
     assert naive_transversals(g.labels, [frozenset()]) == set()
     assert naive_mis(g.labels, [frozenset()]) == set()
     for s in (g.empty(), g.set_of("b"), g.full()):
-        assert not is_independent(h, s)
+        assert not is_independent(edges, s)
 
 
 def test_foreign_edge_rejected():
     g = GroundSet(["a"])
     other = GroundSet(["b"])
-    with pytest.raises(MismatchedGroundSets):
-        Hypergraph(g, [other.full()])
+    for fn in (minimal_transversals, maximal_independent_sets):
+        with pytest.raises(MismatchedGroundSets):
+            fn(g, [g.full(), other.full()])
 
 
 def test_is_independent(demo_base, demo_graph):
     g = demo_base.ground
-    h = Hypergraph(g, [g.from_indices(e) for e in demo_graph.edges])
-    assert is_independent(h, g.set_of("1", "3", "5"))
-    assert not is_independent(h, g.set_of("1", "2", "3", "5"))
-    assert is_independent(h, g.empty())
+    edges = [g.from_indices(e) for e in demo_graph.edges]
+    assert is_independent(edges, g.set_of("1", "3", "5"))
+    assert not is_independent(edges, g.set_of("1", "2", "3", "5"))
+    assert is_independent(edges, g.empty())
 
 
 def test_minimal_transversals_tiny():
-    assert as_label_sets(minimal_transversals(hg("ab", "ab"))) == {
+    assert as_label_sets(minimal_transversals(*hg("ab", "ab"))) == {
         frozenset("a"),
         frozenset("b"),
     }
-    assert as_label_sets(minimal_transversals(hg("ab", "a", "b"))) == {
+    assert as_label_sets(minimal_transversals(*hg("ab", "a", "b"))) == {
         frozenset("ab")
     }
 
 
 def test_demo_keys_transversals_and_mis():
     # the four keys of the worked instance, as a hypergraph
-    h = hg(["1", "2", "3", "4", "5"], "135", "34", "24", "25")
-    assert as_label_sets(minimal_transversals(h)) == {
+    g, edges = hg(["1", "2", "3", "4", "5"], "135", "34", "24", "25")
+    assert as_label_sets(minimal_transversals(g, edges)) == {
         frozenset({"2", "3"}),
         frozenset({"4", "5"}),
         frozenset({"1", "2", "4"}),
     }
-    assert as_label_sets(maximal_independent_sets(h)) == {
+    assert as_label_sets(maximal_independent_sets(g, edges)) == {
         frozenset({"1", "4", "5"}),
         frozenset({"1", "2", "3"}),
         frozenset({"3", "5"}),
@@ -78,11 +73,11 @@ def test_demo_keys_transversals_and_mis():
 
 
 def test_mis_single_edge_and_triangle():
-    assert as_label_sets(maximal_independent_sets(hg("abc", "ab"))) == {
+    assert as_label_sets(maximal_independent_sets(*hg("abc", "ab"))) == {
         frozenset({"a", "c"}),
         frozenset({"b", "c"}),
     }
-    assert as_label_sets(maximal_independent_sets(hg("abc", "ab", "bc", "ac"))) == {
+    assert as_label_sets(maximal_independent_sets(*hg("abc", "ab", "bc", "ac"))) == {
         frozenset({"a"}),
         frozenset({"b"}),
         frozenset({"c"}),
@@ -90,8 +85,8 @@ def test_mis_single_edge_and_triangle():
 
 
 def test_output_is_lectic():
-    h = hg("abcd", "ab", "cd")
-    for out in (minimal_transversals(h), maximal_independent_sets(h)):
+    g, edges = hg("abcd", "ab", "cd")
+    for out in (minimal_transversals(g, edges), maximal_independent_sets(g, edges)):
         masks = [s.mask for s in out]
         assert masks == sorted(masks)
 
@@ -105,29 +100,28 @@ def test_random_hypergraphs_match_oracle():
         for _ in range(rng.randint(1, 6)):
             mask = rng.randrange(1, 1 << n)
             edges.append(ElemSet(g, mask))
-        h = Hypergraph(g, edges)
-        edge_labels = [e.labels() for e in h.edges]
+        edge_labels = [e.labels() for e in edges]
 
-        trans = minimal_transversals(h)
-        mis = maximal_independent_sets(h)
+        trans = minimal_transversals(g, edges)
+        mis = maximal_independent_sets(g, edges)
         assert as_label_sets(trans) == naive_transversals(g.labels, edge_labels)
         assert as_label_sets(mis) == naive_mis(g.labels, edge_labels)
 
         # complement duality, antichain, independence, maximality
         assert {t.complement().mask for t in trans} == {m.mask for m in mis}
         for a in mis:
-            assert is_independent(h, a)
+            assert is_independent(edges, a)
             for i in range(n):
                 if i not in a:
-                    assert not is_independent(h, a.add(i))
+                    assert not is_independent(edges, a.add(i))
             for b in mis:
                 assert not a < b
 
 
 def test_transversal_cap_reports_partial():
-    h = hg("abcdef", "ab", "cd", "ef")
+    g, edges = hg("abcdef", "ab", "cd", "ef")
     with pytest.raises(OutputLimitExceeded) as err:
-        minimal_transversals(h, cap=3)
+        minimal_transversals(g, edges, cap=3)
     assert err.value.phase == "transversals"
     assert len(err.value.partial) >= 3
 
@@ -135,11 +129,11 @@ def test_transversal_cap_reports_partial():
 def test_transversal_cap_partial_holds_only_minimal_transversals():
     # The cap counts finished transversals of the whole hypergraph, so a
     # partial result never holds a set that misses an edge.
-    h = hg("abcdef", "ab", "cd", "ef")
-    answer = set(minimal_transversals(h))
+    g, edges = hg("abcdef", "ab", "cd", "ef")
+    answer = set(minimal_transversals(g, edges))
     for cap in range(len(answer)):
         with pytest.raises(OutputLimitExceeded) as err:
-            minimal_transversals(h, cap=cap)
+            minimal_transversals(g, edges, cap=cap)
         assert len(err.value.partial) == cap + 1
         assert set(err.value.partial) <= answer
 
@@ -147,27 +141,27 @@ def test_transversal_cap_partial_holds_only_minimal_transversals():
 def test_cap_counts_the_answer_not_edge_prefixes():
     # The edges {a,c} and {b,d} alone have four minimal transversals;
     # {c,d} cuts them to three, and a cap of three is enough.
-    h = hg("abcd", "ac", "bd", "cd")
-    answer = minimal_transversals(h)
+    g, edges = hg("abcd", "ac", "bd", "cd")
+    answer = minimal_transversals(g, edges)
     assert as_label_sets(answer) == {frozenset("ad"), frozenset("bc"), frozenset("cd")}
-    assert minimal_transversals(h, cap=3) == answer
-    assert len(maximal_independent_sets(h, cap=3)) == 3
+    assert minimal_transversals(g, edges, cap=3) == answer
+    assert len(maximal_independent_sets(g, edges, cap=3)) == 3
 
 
 def test_mis_cap_propagates():
-    h = hg("abcdef", "ab", "cd", "ef")
+    g, edges = hg("abcdef", "ab", "cd", "ef")
     with pytest.raises(OutputLimitExceeded):
-        maximal_independent_sets(h, cap=3)
-    assert len(maximal_independent_sets(h, cap=8)) == 8
+        maximal_independent_sets(g, edges, cap=3)
+    assert len(maximal_independent_sets(g, edges, cap=8)) == 8
 
 
 def test_cap_zero_on_no_edges_raises():
     # The empty set is the one transversal of an edgeless hypergraph, so
     # it counts against the cap like any other result.
-    h = hg("abc")
-    assert minimal_transversals(h, cap=1) == [h.ground.empty()]
+    g, edges = hg("abc")
+    assert minimal_transversals(g, edges, cap=1) == [g.empty()]
     for fn in (minimal_transversals, maximal_independent_sets):
         with pytest.raises(OutputLimitExceeded) as err:
-            fn(h, cap=0)
+            fn(g, edges, cap=0)
         assert err.value.phase == "transversals"
-        assert err.value.partial == [h.ground.empty()]
+        assert err.value.partial == [g.empty()]
