@@ -1,13 +1,14 @@
 """Structural checks on the closure system of an implicational base.
 
 Biatomicity and modularity are evaluated exhaustively over the
-closed-set family, so they are desk scale and gated by the exhaustive
-limit; independence scans the subsets of a given set under its own
-bound. The other checks need no family: distributivity is read off the
-rules, and minimal generators and meet-irreducibles (hence the arrow
-relations and the dependency digraph) are key queries. Each failed
-check carries a concrete witness: the sets or elements violating the
-definition, plus a rendered explanation.
+closed-set family, so they are desk scale: enumerate_closed_sets refuses
+ground sets above EXHAUSTIVE_LIMIT. Independence scans every subset of
+a given set and refuses sets above INDEPENDENCE_BOUND. The other checks
+need no family: distributivity is read off the rules, and minimal
+generators and meet-irreducibles (hence the arrow relations and the
+dependency digraph) are key queries. Each failed check carries a
+concrete witness: the sets or elements violating the definition, plus
+a rendered explanation.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .closure import _chainer, covers, enumerate_closed_sets
-from .core import (
-    EXHAUSTIVE_LIMIT,
-    INDEPENDENCE_BOUND,
-    ElemSet,
-    GroundSet,
-    ImplicationalBase,
-    iter_bits,
-)
+from .core import INDEPENDENCE_BOUND, ElemSet, GroundSet, ImplicationalBase, iter_bits
 from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard, SetTooLarge
 from .keys import caratheodory_number, minimal_generators
 from .solver import meet_irreducibles
@@ -41,10 +35,6 @@ class CheckResult:
         return self.ok
 
 
-def _fmt(s: ElemSet) -> str:
-    return "{" + s.to_text() + "}"
-
-
 def check_standard(base: ImplicationalBase) -> CheckResult:
     """Standard means: the empty set is closed, and removing an element
     from its own closure leaves a closed set."""
@@ -55,7 +45,7 @@ def check_standard(base: ImplicationalBase) -> CheckResult:
         return CheckResult(
             False,
             (ElemSet(g, bottom),),
-            f"closure of the empty set is {_fmt(ElemSet(g, bottom))}, not empty",
+            f"closure of the empty set is {ElemSet(g, bottom)!r}, not empty",
         )
     for x in range(g.n):
         bit = 1 << x
@@ -64,7 +54,7 @@ def check_standard(base: ImplicationalBase) -> CheckResult:
             return CheckResult(
                 False,
                 (x, ElemSet(g, reduced)),
-                f"closure of {g.labels[x]} minus itself, {_fmt(ElemSet(g, reduced))}, is not closed",
+                f"closure of {g.labels[x]} minus itself, {ElemSet(g, reduced)!r}, is not closed",
             )
     return CheckResult(True)
 
@@ -80,12 +70,12 @@ def check_atomistic(base: ImplicationalBase) -> CheckResult:
             return CheckResult(
                 False,
                 (x, ElemSet(g, cl)),
-                f"closure of {g.labels[x]} is {_fmt(ElemSet(g, cl))}, not the singleton",
+                f"closure of {g.labels[x]} is {ElemSet(g, cl)!r}, not the singleton",
             )
     return CheckResult(True)
 
 
-def check_biatomic(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> CheckResult:
+def check_biatomic(base: ImplicationalBase) -> CheckResult:
     """Every atom below a join of two closed sets lies below the join of
     an atom from each.
 
@@ -94,7 +84,7 @@ def check_biatomic(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> Ch
     inputs, where atoms need not be singletons. Atoms already inside
     one of the two closed sets witness themselves.
     """
-    family = enumerate_closed_sets(base, limit)
+    family = enumerate_closed_sets(base)
     ch = _chainer(base)
     g = base.ground
     bottom = ch.close(0)
@@ -122,8 +112,8 @@ def check_biatomic(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> Ch
                     return CheckResult(
                         False,
                         (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, am)),
-                        "atom {} is below the join of {} and {} but below no atom-pair join".format(
-                            _fmt(ElemSet(g, am)), _fmt(ElemSet(g, f1)), _fmt(ElemSet(g, f2))
+                        "atom {!r} is below the join of {!r} and {!r} but below no atom-pair join".format(
+                            ElemSet(g, am), ElemSet(g, f1), ElemSet(g, f2)
                         ),
                     )
     return CheckResult(True)
@@ -155,15 +145,15 @@ def check_distributive(base: ImplicationalBase) -> CheckResult:
             if ch.close(u | v) != u | v:
                 a, b = ElemSet(g, u), ElemSet(g, v)
                 return CheckResult(
-                    False, (a, b), f"union of closed sets {_fmt(a)} and {_fmt(b)} is not closed"
+                    False, (a, b), f"union of closed sets {a!r} and {b!r} is not closed"
                 )
             u |= v
     return CheckResult(True)
 
 
-def check_modular(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> CheckResult:
+def check_modular(base: ImplicationalBase) -> CheckResult:
     """Modular law over all closed triples with the first below the second."""
-    family = enumerate_closed_sets(base, limit)
+    family = enumerate_closed_sets(base)
     fam_masks = [s.mask for s in family]
     ch = _chainer(base)
     g = base.ground
@@ -185,29 +175,29 @@ def check_modular(base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT) -> Che
                     return CheckResult(
                         False,
                         (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3)),
-                        "modular law fails for {} <= {} with {}".format(
-                            _fmt(ElemSet(g, f1)), _fmt(ElemSet(g, f2)), _fmt(ElemSet(g, f3))
+                        "modular law fails for {!r} <= {!r} with {!r}".format(
+                            ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3)
                         ),
                     )
     return CheckResult(True)
 
 
-def check_independent(
-    base: ImplicationalBase, subset: ElemSet, bound: int = INDEPENDENCE_BOUND
-) -> CheckResult:
+def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
     """Independence of a set: closure commutes with intersection on all
     pairs of its subsets."""
     if subset.ground != base.ground:
         raise MismatchedGroundSets("set and base over different ground sets")
-    return _check_independent(base, subset, bound, {})
+    return _check_independent(base, subset, {})
 
 
 def _check_independent(
-    base: ImplicationalBase, subset: ElemSet, bound: int, cl: dict[int, int]
+    base: ImplicationalBase, subset: ElemSet, cl: dict[int, int]
 ) -> CheckResult:
     """check_independent reading and filling the closure memo ``cl``."""
-    if len(subset) > bound:
-        raise SetTooLarge(f"independence check over {len(subset)} elements exceeds bound {bound}")
+    if len(subset) > INDEPENDENCE_BOUND:
+        raise SetTooLarge(
+            f"independence check over {len(subset)} elements exceeds bound {INDEPENDENCE_BOUND}"
+        )
     ch = _chainer(base)
     g = base.ground
     m = subset.mask
@@ -226,8 +216,8 @@ def _check_independent(
                 return CheckResult(
                     False,
                     (ElemSet(g, y1), ElemSet(g, y2)),
-                    "closure of the intersection of {} and {} differs from the intersection of closures".format(
-                        _fmt(ElemSet(g, y1)), _fmt(ElemSet(g, y2))
+                    "closure of the intersection of {!r} and {!r} differs from the intersection of closures".format(
+                        ElemSet(g, y1), ElemSet(g, y2)
                     ),
                 )
     return CheckResult(True)
@@ -254,16 +244,14 @@ def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResu
             return CheckResult(
                 False,
                 (ElemSet(g, prefix), elems[i + 1], ElemSet(g, meet)),
-                "prefix {} meets the closure of {} in {}".format(
-                    _fmt(ElemSet(g, prefix)), g.labels[elems[i + 1]], _fmt(ElemSet(g, meet))
+                "prefix {!r} meets the closure of {} in {!r}".format(
+                    ElemSet(g, prefix), g.labels[elems[i + 1]], ElemSet(g, meet)
                 ),
             )
     return CheckResult(True)
 
 
-def check_mingen_independence(
-    base: ImplicationalBase, bound: int = INDEPENDENCE_BOUND
-) -> CheckResult:
+def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
     # A generator shared by several elements is checked once, and the
     # closures of subsets shared between generators are computed once.
@@ -274,12 +262,12 @@ def check_mingen_independence(
             if gen.mask in checked:
                 continue
             checked.add(gen.mask)
-            res = _check_independent(base, gen, bound, cl)
+            res = _check_independent(base, gen, cl)
             if not res.ok:
                 return CheckResult(
                     False,
                     (x, gen) + res.witness,
-                    f"minimal generator {_fmt(gen)} of {base.ground.labels[x]} is not independent: "
+                    f"minimal generator {gen!r} of {base.ground.labels[x]} is not independent: "
                     + res.detail,
                 )
     return CheckResult(True)
@@ -408,11 +396,7 @@ def has_d_cycle(base: ImplicationalBase) -> tuple[bool, tuple[int, ...] | None]:
     return cycle is not None, cycle
 
 
-def verify_log_bound(
-    base: ImplicationalBase,
-    limit: int = EXHAUSTIVE_LIMIT,
-    bound: int = INDEPENDENCE_BOUND,
-) -> bool:
+def verify_log_bound(base: ImplicationalBase) -> bool:
     """Check that the largest minimal generator fits the logarithmic
     bound in the ground-set size.
 
@@ -423,9 +407,9 @@ def verify_log_bound(
     failed = []
     if not check_atomistic(base).ok:
         failed.append("atomistic")
-    if not check_biatomic(base, limit).ok:
+    if not check_biatomic(base).ok:
         failed.append("biatomic")
-    if not check_mingen_independence(base, bound).ok:
+    if not check_mingen_independence(base).ok:
         failed.append("mingen_independence")
     if failed:
         raise HypothesesNotMet(failed)
@@ -488,11 +472,7 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze(
-    base: ImplicationalBase,
-    limit: int = EXHAUSTIVE_LIMIT,
-    independence_bound: int = INDEPENDENCE_BOUND,
-) -> AnalysisReport:
+def analyze(base: ImplicationalBase) -> AnalysisReport:
     """Run every structural check and collect the outcomes."""
     witnesses: dict[str, str] = {}
 
@@ -503,10 +483,10 @@ def analyze(
 
     standard = note("standard", check_standard(base))
     atomistic = note("atomistic", check_atomistic(base))
-    biatomic = note("biatomic", check_biatomic(base, limit))
+    biatomic = note("biatomic", check_biatomic(base))
     distributive = note("distributive", check_distributive(base))
-    modular = note("modular", check_modular(base, limit))
-    mingen_ok = note("mingen_independence", check_mingen_independence(base, independence_bound))
+    modular = note("modular", check_modular(base))
+    mingen_ok = note("mingen_independence", check_mingen_independence(base))
     caratheodory = caratheodory_number(base)
 
     lower_bounded: bool | None = None

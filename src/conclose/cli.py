@@ -17,13 +17,7 @@ from collections.abc import Callable, Iterable
 
 from .analysis import analyze
 from .closure import close
-from .core import (
-    EXHAUSTIVE_LIMIT,
-    KEY_CAP,
-    MIS_CAP,
-    format_instance,
-    load_instance,
-)
+from .core import KEY_CAP, MIS_CAP, format_instance, load_instance
 from .errors import ClosureError, OutputLimitExceeded
 from .generators import (
     gen_cnf_lower_bounded,
@@ -70,8 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     base, graph = load_instance(args.instance)
-    oracle = brute_force_solve(base, graph, limit=args.limit_ground)
-    verdict = "unchecked"
+    oracle = brute_force_solve(base, graph)
     try:
         fast = solve(base, graph, key_cap=args.cap_keys, mis_cap=args.cap_mis)
     except ClosureError as exc:
@@ -124,7 +117,7 @@ def _cmd_coatoms(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     base, _ = load_instance(args.instance)
-    report = analyze(base, limit=args.limit_ground)
+    report = analyze(base)
     _emit(args, report.to_dict, lambda: report.render_text().splitlines())
     return 0
 
@@ -199,18 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
     caps.add_argument("--cap-keys", type=_count, default=KEY_CAP, help="key enumeration cap")
     caps.add_argument("--cap-mis", type=_count, default=MIS_CAP, help="independent-set cap")
 
-    ground = argparse.ArgumentParser(add_help=False)
-    ground.add_argument(
-        "--limit-ground",
-        type=_count,
-        default=EXHAUSTIVE_LIMIT,
-        help="refusal size for exhaustive enumeration",
-    )
-
     p = sub.add_parser("solve", parents=[fmt, caps], help="enumerate all solutions")
     p.add_argument("instance")
     p = sub.add_parser(
-        "oracle", parents=[fmt, caps, ground], help="brute-force solutions plus agreement verdict"
+        "oracle", parents=[fmt, caps], help="brute-force solutions plus agreement verdict"
     )
     p.add_argument("instance")
     p = sub.add_parser(
@@ -224,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
     p = sub.add_parser("coatoms", parents=[fmt, caps], help="maximal proper closed sets")
     p.add_argument("instance")
-    p = sub.add_parser("analyze", parents=[fmt, ground], help="structural check report")
+    p = sub.add_parser("analyze", parents=[fmt], help="structural check report")
     p.add_argument("instance")
 
     p = sub.add_parser("generate", help="write an instance in the text format")

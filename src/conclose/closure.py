@@ -5,8 +5,8 @@ counters (LinClosure) over the base compiled to one rule per distinct
 premise, so one call costs time linear in the size of the compiled base,
 and it stops early once everything is reached.
 Enumerating all closed sets uses next-closure iteration in lectic order,
-returns them as a plain tuple, and refuses ground sets above an
-exhaustive limit; it is a desk-scale tool, not bulk machinery. Minimal
+returns them as a plain tuple, and refuses ground sets above
+EXHAUSTIVE_LIMIT; it is a desk-scale tool, not bulk machinery. Minimal
 generators and meet-irreducibles are key queries and live with the keys
 (keys.py) and co-atoms (solver.py); the engine cached on each base also
 keeps their per-element key saturations.
@@ -106,18 +106,16 @@ def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
     return close(base, subset).mask == subset.mask
 
 
-def enumerate_closed_sets(
-    base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[ElemSet, ...]:
+def enumerate_closed_sets(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     """Enumerate every closed set in lectic order via next-closure.
 
     The family always contains the full set and is closed under
-    intersection. Refuses ground sets larger than ``limit`` since the
-    output may approach 2^n sets.
+    intersection. Refuses ground sets larger than EXHAUSTIVE_LIMIT since
+    the output may approach 2^n sets.
     """
     n = base.ground.n
-    if n > limit:
-        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
     ch = _chainer(base)
     full = base.ground.full_mask
     out_masks = []

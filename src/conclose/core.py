@@ -33,8 +33,9 @@ from .errors import (
     ParseError,
 )
 
-# Default size limits. Each is a per-call override in the functions that
-# consume it; these are only the fallbacks.
+# Size guards, fixed and read where they are checked; no caller overrides
+# them. MAX_GROUND also bounds the depth of the MMCS recursion in
+# transversal.py, which adds one vertex per level.
 MAX_GROUND = 128          # hard cap on ground-set size at construction
 EXHAUSTIVE_LIMIT = 20     # refusal point for 2^n closed-set enumerations
 KEY_CAP = 10 ** 6         # key enumeration output cap
@@ -104,7 +105,7 @@ class GroundSet:
 
     __slots__ = ("labels", "n", "full_mask", "_index", "_hash")
 
-    def __init__(self, labels: Iterable[str], max_size: int = MAX_GROUND):
+    def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         for lab in labels:
             if not isinstance(lab, str) or not lab or lab.split() != [lab]:
@@ -116,8 +117,8 @@ class GroundSet:
                 raise ValueError("'->' is reserved and cannot be an element label")
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be distinct")
-        if len(labels) > max_size:
-            raise GroundSetTooLarge(f"{len(labels)} elements exceeds the limit of {max_size}")
+        if len(labels) > MAX_GROUND:
+            raise GroundSetTooLarge(f"{len(labels)} elements exceeds the limit of {MAX_GROUND}")
         self.labels = labels
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1
@@ -439,9 +440,7 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def parse_instance(
-    text: str, max_ground: int = MAX_GROUND
-) -> tuple[ImplicationalBase, ConsistencyGraph]:
+def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
     """Parse the plain-text instance format into a base and a graph.
 
     Raises ParseError with a 1-based line number on any malformed or
@@ -461,7 +460,7 @@ def parse_instance(
             if ground is not None:
                 raise ParseError(no, f"duplicate elements: line (first was line {elements_line})")
             try:
-                ground = GroundSet(tokens[1:], max_size=max_ground)
+                ground = GroundSet(tokens[1:])
             except (ValueError, GroundSetTooLarge) as exc:
                 raise ParseError(no, str(exc)) from None
             elements_line = no

@@ -133,9 +133,7 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet
     return tuple(ElemSet(g, m) for m in found)
 
 
-def brute_force_keys(
-    base: ImplicationalBase, limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[ElemSet, ...]:
+def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     """Reference key enumeration by scanning all subsets, smallest first.
 
     Independent of the saturation path; used as an oracle in tests and
@@ -143,8 +141,8 @@ def brute_force_keys(
     """
     g = base.ground
     n = g.n
-    if n > limit:
-        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
     ch = _chainer(base)
     full = g.full_mask
     found: list[int] = []

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 
 from .closure import close, enumerate_closed_sets, is_closed
 from .core import (
-    EXHAUSTIVE_LIMIT,
     KEY_CAP,
     MIS_CAP,
     ConsistencyGraph,
@@ -136,20 +135,16 @@ def solve(
     return SolutionSet(g, sets, stats)
 
 
-def brute_force_solve(
-    base: ImplicationalBase,
-    graph: ConsistencyGraph,
-    limit: int = EXHAUSTIVE_LIMIT,
-) -> SolutionSet:
+def brute_force_solve(base: ImplicationalBase, graph: ConsistencyGraph) -> SolutionSet:
     """Oracle: filter the closed-set family and keep the maximal survivors.
 
-    Runs in time proportional to the whole family; refuses ground sets
-    above ``limit``.
+    Runs in time proportional to the whole family; enumerate_closed_sets
+    refuses ground sets above EXHAUSTIVE_LIMIT.
     """
     _require_shared_ground(base, graph)
     g = base.ground
     t0 = time.perf_counter()
-    family = enumerate_closed_sets(base, limit)
+    family = enumerate_closed_sets(base)
     edge_masks = graph.edge_masks
     consistent = [
         s.mask for s in family

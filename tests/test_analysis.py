@@ -14,11 +14,15 @@ import pytest
 from conclose import (
     EXHAUSTIVE_LIMIT,
     CnfFormula,
+    ConsistencyGraph,
+    GroundSetTooLarge,
     HypothesesNotMet,
     NotStandard,
     SetTooLarge,
     analyze,
     arrow_relations,
+    brute_force_keys,
+    brute_force_solve,
     caratheodory_number,
     check_atomistic,
     check_biatomic,
@@ -31,6 +35,7 @@ from conclose import (
     close,
     covers,
     d_relation,
+    enumerate_closed_sets,
     gen_cnf_lower_bounded,
     gen_exponential,
     gen_fano,
@@ -43,6 +48,7 @@ from conclose import (
     meet_irreducibles,
     minimal_generators,
     parse_instance,
+    verify_log_bound,
 )
 from oracles import (
     labelset,
@@ -188,9 +194,10 @@ def test_independence_agrees_with_chain_condition_when_modular():
         assert check_independent(base, subset).ok == check_chain_condition(base, subset).ok
 
 
-def test_independent_respects_bound(demo_base):
-    with pytest.raises(SetTooLarge):
-        check_independent(demo_base, demo_base.ground.full(), bound=3)
+def test_independent_respects_bound():
+    base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(16)) + "\n")[0]
+    with pytest.raises(SetTooLarge, match="16 elements exceeds bound 15"):
+        check_independent(base, base.ground.full())
 
 
 def test_mingen_independence(demo_base):
@@ -297,6 +304,36 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         a, b = res.witness
         assert is_closed(base, a) and is_closed(base, b) and not is_closed(base, a | b)
     assert caratheodory_number(base) == 2
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        enumerate_closed_sets,
+        brute_force_keys,
+        lambda base: brute_force_solve(base, ConsistencyGraph(base.ground, [])),
+        check_biatomic,
+        check_modular,
+        verify_log_bound,
+        analyze,
+    ],
+    ids=[
+        "enumerate_closed_sets",
+        "brute_force_keys",
+        "brute_force_solve",
+        "check_biatomic",
+        "check_modular",
+        "verify_log_bound",
+        "analyze",
+    ],
+)
+def test_exhaustive_checks_refuse_past_the_limit(check):
+    # Each check reaches the closed-set enumeration before any exponential
+    # work, and the enumeration refuses before its first closed set.
+    n = EXHAUSTIVE_LIMIT + 1
+    base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
+    with pytest.raises(GroundSetTooLarge, match=f"{n} elements exceeds the exhaustive limit of 20"):
+        check(base)
 
 
 # ---------------------------------------------------------------------------

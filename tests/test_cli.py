@@ -6,7 +6,8 @@ import json
 import pytest
 
 from conclose.cli import main
-from conclose.core import load_instance, validate_instance
+from conclose.core import format_instance, load_instance, validate_instance
+from conclose.generators import gen_random
 
 from conftest import DEMO_TEXT
 
@@ -94,8 +95,8 @@ def test_keys_cap_counts_the_first_key(capsys, tmp_path):
         ["solve", "--cap-keys", "x", "DEMO"],
         ["solve", "--cap-keys", "-1", "DEMO"],
         ["solve", "--cap-mis", "-1", "DEMO"],
-        ["oracle", "--limit-ground", "-1", "DEMO"],
-        ["coatoms", "--limit-ground", "5", "DEMO"],
+        ["oracle", "--limit-ground", "20", "DEMO"],
+        ["analyze", "--limit-ground", "20", "DEMO"],
         ["bench"],
     ],
 )
@@ -105,6 +106,24 @@ def test_usage_errors_exit_one(capsys, demo_file, argv):
         main([demo_file if a == "DEMO" else a for a in argv])
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_exhaustive_commands_refuse_past_the_limit(capsys, tmp_path):
+    p = tmp_path / "wide.txt"
+    p.write_text("elements: " + " ".join(f"e{i}" for i in range(21)) + "\nedge: e0 e1\n")
+    for command in ("oracle", "analyze"):
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == 1, command
+        assert out == ""
+        assert "21 elements exceeds the exhaustive limit of 20" in err
+
+
+def test_oracle_agrees_at_the_limit(capsys, tmp_path):
+    p = tmp_path / "limit.txt"
+    p.write_text(format_instance(*gen_random(20, 40, 3, 6, 0)))
+    code, out, _ = run_cli(capsys, "oracle", str(p))
+    assert code == 0
+    assert out.endswith("agreement: agree\n")
 
 
 def test_solve_non_utf8_file_is_a_parse_error(capsys, tmp_path):

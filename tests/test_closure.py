@@ -139,9 +139,9 @@ def test_family_is_lectic_and_lattice_shaped(demo_base):
 
 
 def test_family_respects_limit():
-    base = simple("elements: " + " ".join(f"e{i}" for i in range(6)) + "\n")
-    with pytest.raises(GroundSetTooLarge):
-        enumerate_closed_sets(base, limit=5)
+    base = simple("elements: " + " ".join(f"e{i}" for i in range(21)) + "\n")
+    with pytest.raises(GroundSetTooLarge, match="exhaustive limit of 20"):
+        enumerate_closed_sets(base)
 
 
 def test_family_contains_and_serialize():

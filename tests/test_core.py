@@ -1,4 +1,6 @@
+import argparse
 import importlib
+import inspect
 import pkgutil
 import random
 import re
@@ -21,6 +23,7 @@ from conclose import (
     parse_instance,
     validate_instance,
 )
+from conclose.cli import _build_parser
 from conftest import DEMO_TEXT
 
 
@@ -29,6 +32,25 @@ def test_public_names_resolve_once():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(conclose, name), name
+
+
+def test_size_guards_are_not_caller_settable():
+    # MAX_GROUND, EXHAUSTIVE_LIMIT and INDEPENDENCE_BOUND are read where
+    # they are checked; no public callable or CLI option overrides them.
+    guards = {"limit", "bound", "max_size", "max_ground", "independence_bound"}
+    for name in conclose.__all__:
+        obj = getattr(conclose, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # exception classes without their own __init__
+            continue
+        assert not guards & set(params), name
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, subparser in commands.choices.items():
+        assert "--limit-ground" not in subparser._option_string_actions, command
 
 
 def test_readme_names_resolve():
@@ -267,9 +289,10 @@ def test_load_rejects_non_utf8_with_line(tmp_path):
 
 
 def test_parse_respects_ground_cap():
-    labels = " ".join(f"e{i}" for i in range(10))
-    with pytest.raises(ParseError, match="exceeds the limit"):
-        parse_instance(f"elements: {labels}\n", max_ground=5)
+    labels = " ".join(f"e{i}" for i in range(129))
+    with pytest.raises(ParseError, match="129 elements exceeds the limit of 128"):
+        parse_instance(f"elements: {labels}\n")
+    assert parse_instance(f"elements: {labels.rsplit(' ', 1)[0]}\n")[0].ground.n == 128
 
 
 def test_format_parse_round_trip(demo_base, demo_graph):

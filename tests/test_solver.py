@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conclose import (
+    EXHAUSTIVE_LIMIT,
     ConsistencyGraph,
     GroundSetTooLarge,
     OutputLimitExceeded,
@@ -114,6 +115,13 @@ def test_brute_force_respects_ground_limit():
     base, graph = parse_instance(f"elements: {labels}\nedge: e0 e1\n")
     with pytest.raises(GroundSetTooLarge):
         brute_force_solve(base, graph)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_matches_brute_force_at_the_exhaustive_limit(seed):
+    base, graph = gen_random(EXHAUSTIVE_LIMIT, 40, 3, 6, seed)
+    assert base.ground.n == EXHAUSTIVE_LIMIT
+    assert tuple(solve(base, graph).sets) == tuple(brute_force_solve(base, graph).sets)
 
 
 def test_solution_serialize(demo_base, demo_graph):
