@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .closure import _chainer, covers, enumerate_closed_sets
+from .closure import _chainer, _closed_masks, covers
 from .core import INDEPENDENCE_BOUND, ElemSet, GroundSet, ImplicationalBase, iter_bits
 from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard, SetTooLarge
 from .keys import caratheodory_number, minimal_generators
@@ -84,7 +84,7 @@ def check_biatomic(base: ImplicationalBase) -> CheckResult:
     inputs, where atoms need not be singletons. Atoms already inside
     one of the two closed sets witness themselves.
     """
-    family = enumerate_closed_sets(base)
+    fam_masks = _closed_masks(base)
     ch = _chainer(base)
     g = base.ground
     bottom = ch.close(0)
@@ -92,7 +92,6 @@ def check_biatomic(base: ImplicationalBase) -> CheckResult:
     k = len(atom_masks)
     pair_close = [[ch.close(atom_masks[i] | atom_masks[j]) for j in range(k)] for i in range(k)]
     union_close: dict[int, int] = {}
-    fam_masks = [s.mask for s in family]
     for f1 in fam_masks:
         for f2 in fam_masks:
             u = f1 | f2
@@ -153,8 +152,7 @@ def check_distributive(base: ImplicationalBase) -> CheckResult:
 
 def check_modular(base: ImplicationalBase) -> CheckResult:
     """Modular law over all closed triples with the first below the second."""
-    family = enumerate_closed_sets(base)
-    fam_masks = [s.mask for s in family]
+    fam_masks = _closed_masks(base)
     ch = _chainer(base)
     g = base.ground
     memo: dict[int, int] = {}

@@ -4,8 +4,11 @@ The closure of a set is computed by forward chaining with per-rule
 counters (LinClosure) over the base compiled to one rule per distinct
 premise, so one call costs time linear in the size of the compiled base,
 and it stops early once everything is reached.
-Enumerating all closed sets uses next-closure iteration in lectic order,
-returns them as a plain tuple, and refuses ground sets above
+Enumerating all closed sets uses Close-by-One over carried-over
+counters: each closed set grows from a closed parent by one element and
+counts down only what that element triggers; the early stop on the full
+set is safe there, since the full set has no children. It returns a
+plain tuple in lectic order, and refuses ground sets above
 EXHAUSTIVE_LIMIT; it is a desk-scale tool, not bulk machinery. Minimal
 generators and meet-irreducibles are key queries and live with the keys
 (keys.py) and co-atoms (solver.py); the engine cached on each base also
@@ -33,11 +36,11 @@ class _Chainer:
     conclusion of the empty premise, present in every closure.
     ``premise_sizes``, ``conclusions`` and ``occurs`` are indexed over
     ``rules``, and ``occurs[i]`` lists the rules whose premise contains
-    element i. Each close() run counts premise elements down as they are
-    reached, fires a rule exactly once when its counter hits zero, and
-    returns as soon as the result is the full set. ``element_keys`` maps
-    an element x to the minimal keys of the base plus ``{x} ->
-    everything``, filled on demand by keys.py.
+    element i. grow() counts premise elements down as they are reached,
+    fires a rule exactly once when its counter hits zero, and returns as
+    soon as the result is the full set; close() runs it from fresh
+    counters. ``element_keys`` maps an element x to the minimal keys of
+    the base plus ``{x} -> everything``, filled on demand by keys.py.
     """
 
     __slots__ = (
@@ -63,13 +66,22 @@ class _Chainer:
 
     def close(self, mask: int) -> int:
         result = mask | self.base_fire
+        return self.grow(result, self.premise_sizes.copy(), result)
+
+    def grow(self, result: int, counts: list[int], todo: int) -> int:
+        """Count down the premises of the elements in ``todo`` and return
+        the closure of ``result``.
+
+        ``counts`` holds, per rule, the premise elements not yet counted
+        down, and is updated in place; every element of ``result``
+        outside ``todo`` must already be counted. Returns early, with
+        ``counts`` incomplete, once the result is the full set.
+        """
         full = self.full
         if result == full:
             return result
-        counts = self.premise_sizes.copy()
         occurs = self.occurs
         conclusions = self.conclusions
-        todo = result  # reached elements whose rules are not yet counted down
         while todo:
             low = todo & -todo
             todo ^= low
@@ -106,36 +118,50 @@ def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
     return close(base, subset).mask == subset.mask
 
 
-def enumerate_closed_sets(base: ImplicationalBase) -> tuple[ElemSet, ...]:
-    """Enumerate every closed set in lectic order via next-closure.
-
-    The family always contains the full set and is closed under
-    intersection. Refuses ground sets larger than EXHAUSTIVE_LIMIT since
-    the output may approach 2^n sets.
-    """
+def _closed_masks(base: ImplicationalBase) -> list[int]:
+    """The masks of enumerate_closed_sets(base), in lectic order."""
     n = base.ground.n
     if n > EXHAUSTIVE_LIMIT:
         raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
     ch = _chainer(base)
-    full = base.ground.full_mask
-    out_masks = []
-    cur = ch.close(0)
-    out_masks.append(cur)
-    while cur != full:
-        for i in range(n):
-            bit = 1 << i
-            if cur & bit:
-                continue
-            above = full & ~((bit << 1) - 1)
-            cand = ch.close((cur & above) | bit)
-            if cand & above == cur & above:
-                cur = cand
-                break
-        else:  # unreachable: the full set is always closed and reachable
-            raise AssertionError("next-closure failed to advance")
-        out_masks.append(cur)
+    full = ch.full
+    counts = ch.premise_sizes.copy()
+    root = ch.grow(ch.base_fire, counts, ch.base_fire)
+    out = [root]
+    # Each entry holds a closed set, its counters and the lowest bit a
+    # child may add; ``-low`` masks that bit and every bit above it.
+    stack = [(root, counts, 1)]
+    while stack:
+        cur, counts, low = stack.pop()
+        free = full & ~cur & -low
+        while free:
+            bit = free & -free
+            free ^= bit
+            child_counts = counts.copy()
+            child = ch.grow(cur | bit, child_counts, bit)
+            if (child ^ cur) & (bit - 1) == 0:
+                out.append(child)
+                stack.append((child, child_counts, bit << 1))
+    out.sort()
+    return out
+
+
+def enumerate_closed_sets(base: ImplicationalBase) -> tuple[ElemSet, ...]:
+    """Enumerate every closed set in lectic order by Close-by-One.
+
+    The family always contains the full set and is closed under
+    intersection. Every closed set other than cl(∅) is reached once,
+    from its canonical parent P by adding the element i such that
+    cl(P ∪ {i}) adds nothing below i; its children then add elements
+    above i only. Each child's closure starts from a copy of the
+    parent's LinClosure counters and counts down only what i triggers,
+    instead of closing from scratch. The closure stops early on the full
+    set and leaves its counters incomplete, which is safe since the full
+    set has no children. Refuses ground sets larger than
+    EXHAUSTIVE_LIMIT since the output may approach 2^n sets.
+    """
     g = base.ground
-    return tuple(ElemSet(g, m) for m in out_masks)
+    return tuple(ElemSet(g, m) for m in _closed_masks(base))
 
 
 def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:

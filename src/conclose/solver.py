@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .closure import close, enumerate_closed_sets, is_closed
+from .closure import _chainer, _closed_masks
 from .core import (
     KEY_CAP,
     MIS_CAP,
@@ -95,11 +95,12 @@ def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
     arrow relations.
     """
     g = base.ground
+    ch = _chainer(base)
     cover: dict[int, int] = {}
     for x in range(g.n):
         for m in maximal_independent_sets(g, _element_keys(base, x)):
             if m.mask not in cover:
-                cover[m.mask] = close(base, m.add(x)).mask
+                cover[m.mask] = ch.close(m.mask | 1 << x)
     return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
 
 
@@ -138,17 +139,16 @@ def solve(
 def brute_force_solve(base: ImplicationalBase, graph: ConsistencyGraph) -> SolutionSet:
     """Oracle: filter the closed-set family and keep the maximal survivors.
 
-    Runs in time proportional to the whole family; enumerate_closed_sets
-    refuses ground sets above EXHAUSTIVE_LIMIT.
+    Runs in time proportional to the whole family; the closed-set
+    enumeration refuses ground sets above EXHAUSTIVE_LIMIT.
     """
     _require_shared_ground(base, graph)
     g = base.ground
     t0 = time.perf_counter()
-    family = enumerate_closed_sets(base)
     edge_masks = graph.edge_masks
     consistent = [
-        s.mask for s in family
-        if not any(em & ~s.mask == 0 for em in edge_masks)
+        m for m in _closed_masks(base)
+        if not any(em & ~m == 0 for em in edge_masks)
     ]
     # Largest first: a set that is not maximal lies in a strictly larger
     # maximal one, which has already been kept when the set comes up.
@@ -174,18 +174,18 @@ def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: Ele
     _require_shared_ground(base, graph)
     if candidate.ground != base.ground:
         raise MismatchedGroundSets("candidate over a different ground set")
-    if not is_closed(base, candidate):
+    ch = _chainer(base)
+    m = candidate.mask
+    if ch.close(m) != m:
         return False
     edge_masks = graph.edge_masks
-    m = candidate.mask
     if any(em & ~m == 0 for em in edge_masks):
         return False
-    g = base.ground
-    for i in range(g.n):
+    for i in range(base.ground.n):
         bit = 1 << i
         if m & bit:
             continue
-        grown = close(base, ElemSet(g, m | bit)).mask
+        grown = ch.close(m | bit)
         if not any(em & ~grown == 0 for em in edge_masks):
             return False
     return True

@@ -144,6 +144,24 @@ def test_family_respects_limit():
         enumerate_closed_sets(base)
 
 
+def test_family_grows_children_without_closing_from_scratch(monkeypatch, demo_base):
+    # Close-by-One carries each parent's closure counters into its
+    # children, so listing the family makes no from-scratch closure.
+    from conclose import closure as closure_module
+
+    calls = []
+    close_mask = closure_module._Chainer.close
+
+    def counting_close(ch, mask):
+        calls.append(mask)
+        return close_mask(ch, mask)
+
+    monkeypatch.setattr(closure_module._Chainer, "close", counting_close)
+    assert len(enumerate_closed_sets(demo_base)) == 14
+    assert len(enumerate_closed_sets(gen_random(18, 24, 3, 5, 4)[0])) == 7511
+    assert calls == []
+
+
 def test_family_contains_and_serialize():
     base = simple("elements: a b\nimp: a -> b\n")
     fam = enumerate_closed_sets(base)

@@ -2,9 +2,9 @@
 scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
 co-atoms against the closed-set family, the dualizer against a subset
-scan, the structure queries (minimal generators, meet-irreducibles,
-distributivity) against their definitions, and the text format round
-trip."""
+scan, the closed-set family and the structure queries (minimal
+generators, meet-irreducibles, distributivity) against their
+definitions, and the text format round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +265,19 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
 # Structure queries at n <= 10: both strategies, since only the shared
 # premise one has empty premises, which put elements into close(∅).
 STRUCTURE = st.one_of(instances(max_n=10), shared_premise_instances(max_n=10))
+
+
+@PIPELINE
+@example(EVERYTHING)
+@example(parse_instance("elements: a b c d e\n"))
+@given(STRUCTURE)
+def test_closed_set_family_matches_subset_scan(instance):
+    # EVERYTHING has the full set as its only closed set; a rule-free
+    # base has all 2^n subsets closed.
+    base, _ = instance
+    g = base.ground
+    scan = tuple(ElemSet(g, m) for m in range(1 << g.n) if fixpoint_closure(base, m) == m)
+    assert enumerate_closed_sets(base) == scan
 
 
 @PIPELINE

@@ -9,6 +9,7 @@ from conclose import (
     OutputLimitExceeded,
     brute_force_solve,
     co_atoms,
+    enumerate_closed_sets,
     enumerate_keys,
     gen_exponential,
     gen_random,
@@ -122,6 +123,18 @@ def test_solver_matches_brute_force_at_the_exhaustive_limit(seed):
     base, graph = gen_random(EXHAUSTIVE_LIMIT, 40, 3, 6, seed)
     assert base.ground.n == EXHAUSTIVE_LIMIT
     assert tuple(solve(base, graph).sets) == tuple(brute_force_solve(base, graph).sets)
+
+
+@pytest.mark.parametrize(
+    "seed, n_closed, n_solutions", [(4, 7511, 35), (12, 6278, 10), (13, 6620, 29), (14, 5156, 19)]
+)
+def test_oracle_workload_pins(seed, n_closed, n_solutions):
+    # The four instances of the benchmark's oracle workload.
+    base, graph = gen_random(18, 24, 3, 5, seed)
+    assert len(enumerate_closed_sets(base)) == n_closed
+    oracle = brute_force_solve(base, graph)
+    assert len(oracle) == n_solutions
+    assert oracle.sets == solve(base, graph).sets
 
 
 def test_solution_serialize(demo_base, demo_graph):
