@@ -2,23 +2,32 @@
 
 Biatomicity and modularity are evaluated exhaustively over the
 closed-set family, so they are desk scale: enumerate_closed_sets refuses
-ground sets above EXHAUSTIVE_LIMIT. Independence scans every subset of
-a given set and refuses sets above INDEPENDENCE_BOUND. The other checks
-need no family: distributivity is read off the rules, and minimal
-generators and meet-irreducibles (hence the arrow relations and the
-dependency digraph) are key queries. Each failed check carries a
-concrete witness: the sets or elements violating the definition, plus
-a rendered explanation.
+ground sets above EXHAUSTIVE_LIMIT. Modularity reads only the cover
+graph of the family, and biatomicity every pair of closed sets.
+Independence closes every subset of a given set once and refuses sets
+above the same limit. The other checks need no family: distributivity
+is read off the rules, and minimal generators and meet-irreducibles
+(hence the arrow relations and the dependency digraph) are key queries.
+Each failed check carries a concrete witness: the sets or elements
+violating the definition, plus a rendered explanation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from typing import Any
 
-from .closure import _chainer, _closed_masks, covers
-from .core import INDEPENDENCE_BOUND, ElemSet, GroundSet, ImplicationalBase, iter_bits
-from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard, SetTooLarge
+from .closure import _chainer, _closed_masks, _covers
+from .core import (
+    ElemSet,
+    GroundSet,
+    ImplicationalBase,
+    _refuse_past_exhaustive_limit,
+    iter_bits,
+    iter_submasks,
+)
+from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard
 from .keys import caratheodory_number, minimal_generators
 from .solver import meet_irreducibles
 
@@ -87,20 +96,20 @@ def check_biatomic(base: ImplicationalBase) -> CheckResult:
     fam_masks = _closed_masks(base)
     ch = _chainer(base)
     g = base.ground
-    bottom = ch.close(0)
-    atom_masks = [a.mask for a in covers(base, ElemSet(g, bottom))]
+    atom_masks = _covers(ch, ch.close(0))
     k = len(atom_masks)
     pair_close = [[ch.close(atom_masks[i] | atom_masks[j]) for j in range(k)] for i in range(k)]
+    below = {f: [i for i in range(k) if atom_masks[i] & ~f == 0] for f in fam_masks}
     union_close: dict[int, int] = {}
     for f1 in fam_masks:
+        in1 = below[f1]
         for f2 in fam_masks:
             u = f1 | f2
             j12 = union_close.get(u)
             if j12 is None:
                 j12 = ch.close(u)
                 union_close[u] = j12
-            in1 = [i for i in range(k) if atom_masks[i] & ~f1 == 0]
-            in2 = [i for i in range(k) if atom_masks[i] & ~f2 == 0]
+            in2 = below[f2]
             for a in range(k):
                 am = atom_masks[a]
                 if am & ~j12:
@@ -151,38 +160,49 @@ def check_distributive(base: ImplicationalBase) -> CheckResult:
 
 
 def check_modular(base: ImplicationalBase) -> CheckResult:
-    """Modular law over all closed triples with the first below the second."""
-    fam_masks = _closed_masks(base)
+    """Modular law, read off the cover graph of the closed sets.
+
+    A finite lattice is modular iff it is upper and lower semimodular
+    (Birkhoff): for two distinct upper covers a, b of one closed set,
+    cl(a ∪ b) covers both; for two distinct lower covers a, b of one
+    closed set, both cover a ∩ b. A failure gives a triple breaking the
+    modular law. If j = cl(a ∪ b) does not cover a, a cover d of a
+    inside j gives (a <= d, b), since d ∩ b is the set both cover. If a
+    does not cover a ∩ b, a lower cover e of a containing a ∩ b gives
+    (e <= a, b), since cl(e ∪ b) is the set covering both.
+    """
     ch = _chainer(base)
     g = base.ground
-    memo: dict[int, int] = {}
+    up = {f: _covers(ch, f) for f in _closed_masks(base)}
+    down: dict[int, list[int]] = {f: [] for f in up}
+    for f, ups in up.items():
+        for u in ups:
+            down[u].append(f)
 
-    def cl(m: int) -> int:
-        r = memo.get(m)
-        if r is None:
-            r = ch.close(m)
-            memo[m] = r
-        return r
+    def fails(f1: int, f2: int, f3: int) -> CheckResult:
+        sets = (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3))
+        return CheckResult(
+            False, sets, "modular law fails for {!r} <= {!r} with {!r}".format(*sets)
+        )
 
-    for f1 in fam_masks:
-        for f2 in fam_masks:
-            if f1 & ~f2:
-                continue
-            for f3 in fam_masks:
-                if cl(f1 | (f2 & f3)) != cl(f1 | f3) & f2:
-                    return CheckResult(
-                        False,
-                        (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3)),
-                        "modular law fails for {!r} <= {!r} with {!r}".format(
-                            ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3)
-                        ),
-                    )
+    for ups in up.values():
+        for a, b in combinations(ups, 2):
+            j = ch.close(a | b)
+            for x, y in ((a, b), (b, a)):
+                if j not in up[x]:
+                    return fails(x, next(d for d in up[x] if d & ~j == 0), y)
+    for lows in down.values():
+        for a, b in combinations(lows, 2):
+            meet = a & b
+            for x, y in ((a, b), (b, a)):
+                if x not in up[meet]:
+                    return fails(next(e for e in down[x] if meet & ~e == 0), x, y)
     return CheckResult(True)
 
 
 def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
     """Independence of a set: closure commutes with intersection on all
-    pairs of its subsets."""
+    pairs of its subsets. Refuses sets above EXHAUSTIVE_LIMIT."""
     if subset.ground != base.ground:
         raise MismatchedGroundSets("set and base over different ground sets")
     return _check_independent(base, subset, {})
@@ -191,32 +211,36 @@ def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
 def _check_independent(
     base: ImplicationalBase, subset: ElemSet, cl: dict[int, int]
 ) -> CheckResult:
-    """check_independent reading and filling the closure memo ``cl``."""
-    if len(subset) > INDEPENDENCE_BOUND:
-        raise SetTooLarge(
-            f"independence check over {len(subset)} elements exceeds bound {INDEPENDENCE_BOUND}"
-        )
+    """check_independent reading and filling the closure memo ``cl``.
+
+    Closure commutes with intersection on all pairs of subsets of X iff,
+    for every proper Y ⊂ X and a the lowest element of X ∖ Y,
+    cl(Y) = cl(Y ∪ {a}) ∩ cl(X ∖ {a}): by induction from X down, these
+    make every cl(Y) the intersection of cl(X ∖ {b}) over b in X ∖ Y, and
+    that intersection commutes with intersection. So one closure per
+    subset and one comparison per proper subset decide it, and a failure
+    is the pair (X ∖ {a}, Y ∪ {a}), larger mask first.
+    """
+    _refuse_past_exhaustive_limit(len(subset))
     ch = _chainer(base)
     g = base.ground
     m = subset.mask
-    subs = []
-    s = m
-    while True:
-        subs.append(s)
+    for s in iter_submasks(m):
         if s not in cl:
             cl[s] = ch.close(s)
-        if s == 0:
-            break
-        s = (s - 1) & m
-    for i, y1 in enumerate(subs):
-        for y2 in subs[i:]:
-            if cl[y1 & y2] != cl[y1] & cl[y2]:
+    for a in iter_bits(m):
+        bit = 1 << a
+        low = m & (bit - 1)
+        co = m & ~bit
+        for s in iter_submasks(co & ~low):
+            y = low | s
+            if cl[y] != cl[y | bit] & cl[co]:
+                pair = tuple(ElemSet(g, x) for x in sorted((co, y | bit), reverse=True))
                 return CheckResult(
                     False,
-                    (ElemSet(g, y1), ElemSet(g, y2)),
-                    "closure of the intersection of {!r} and {!r} differs from the intersection of closures".format(
-                        ElemSet(g, y1), ElemSet(g, y2)
-                    ),
+                    pair,
+                    "closure of the intersection of {!r} and {!r} differs from the "
+                    "intersection of closures".format(*pair),
                 )
     return CheckResult(True)
 

@@ -18,13 +18,13 @@ keeps their per-element key saturations.
 from __future__ import annotations
 
 from .core import (
-    EXHAUSTIVE_LIMIT,
     ElemSet,
     ImplicationalBase,
+    _refuse_past_exhaustive_limit,
     iter_bits,
     minimal,
 )
-from .errors import GroundSetTooLarge, MismatchedGroundSets, NotClosed
+from .errors import MismatchedGroundSets, NotClosed
 
 
 class _Chainer:
@@ -121,8 +121,7 @@ def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
 def _closed_masks(base: ImplicationalBase) -> list[int]:
     """The masks of enumerate_closed_sets(base), in lectic order."""
     n = base.ground.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
+    _refuse_past_exhaustive_limit(n)
     ch = _chainer(base)
     full = ch.full
     counts = ch.premise_sizes.copy()
@@ -164,6 +163,11 @@ def enumerate_closed_sets(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     return tuple(ElemSet(g, m) for m in _closed_masks(base))
 
 
+def _covers(ch: _Chainer, f: int) -> list[int]:
+    """The masks of the upper covers of the closed mask ``f``, in lectic order."""
+    return minimal(ch.n, (ch.close(f | (1 << i)) for i in iter_bits(ch.full & ~f)))
+
+
 def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
     """Upper covers of a closed set in the lattice of closed sets.
 
@@ -171,8 +175,5 @@ def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
     """
     if not is_closed(base, closed_set):
         raise NotClosed(f"{closed_set!r} is not closed")
-    ch = _chainer(base)
     g = base.ground
-    f = closed_set.mask
-    grown = (ch.close(f | (1 << i)) for i in iter_bits(g.full_mask & ~f))
-    return [ElemSet(g, m) for m in minimal(g.n, grown)]
+    return [ElemSet(g, m) for m in _covers(_chainer(base), closed_set.mask)]

@@ -37,10 +37,26 @@ from .errors import (
 # them. MAX_GROUND also bounds the depth of the MMCS recursion in
 # transversal.py, which adds one vertex per level.
 MAX_GROUND = 128          # hard cap on ground-set size at construction
-EXHAUSTIVE_LIMIT = 20     # refusal point for 2^n closed-set enumerations
+EXHAUSTIVE_LIMIT = 20     # refusal point for every 2^n exhaustive check
 KEY_CAP = 10 ** 6         # key enumeration output cap
 MIS_CAP = 10 ** 6         # transversal / independent-set output cap
-INDEPENDENCE_BOUND = 15   # refusal point for subset-pair independence checks
+
+
+def _refuse_past_exhaustive_limit(n: int) -> None:
+    """Raise GroundSetTooLarge for an n-element input to an exhaustive
+    check, before any of its 2^n work."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
+
+
+def iter_submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask`` in decreasing order, ``mask`` and 0 included."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
 
 
 def iter_bits(mask: int) -> Iterator[int]:

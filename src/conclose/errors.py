@@ -8,7 +8,7 @@ class ClosureError(Exception):
 
 
 class GroundSetTooLarge(ClosureError):
-    """A ground set exceeds a size limit for the requested operation."""
+    """A ground set, or a set handed to an exhaustive check, exceeds a size limit."""
 
 
 class MismatchedGroundSets(ClosureError):
@@ -29,10 +29,6 @@ class NoDecomposition(ClosureError):
 
 class EmptyGraph(ClosureError):
     """The consistency graph has no edges where at least one is required."""
-
-
-class SetTooLarge(ClosureError):
-    """A set argument exceeds the bound of an exhaustive subset check."""
 
 
 class NotStandard(ClosureError):

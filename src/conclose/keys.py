@@ -33,17 +33,16 @@ from typing import Iterable
 
 from .closure import _chainer
 from .core import (
-    EXHAUSTIVE_LIMIT,
     KEY_CAP,
     ConsistencyGraph,
     ElemSet,
     ImplicationalBase,
     Implication,
     SubsetIndex,
+    _refuse_past_exhaustive_limit,
 )
 from .errors import (
     EmptyGraph,
-    GroundSetTooLarge,
     MismatchedGroundSets,
     NoDecomposition,
     NotASuperkey,
@@ -141,8 +140,7 @@ def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     """
     g = base.ground
     n = g.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise GroundSetTooLarge(f"{n} elements exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
+    _refuse_past_exhaustive_limit(n)
     ch = _chainer(base)
     full = g.full_mask
     found: list[int] = []

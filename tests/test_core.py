@@ -35,8 +35,11 @@ def test_public_names_resolve_once():
 
 
 def test_size_guards_are_not_caller_settable():
-    # MAX_GROUND, EXHAUSTIVE_LIMIT and INDEPENDENCE_BOUND are read where
-    # they are checked; no public callable or CLI option overrides them.
+    # MAX_GROUND and EXHAUSTIVE_LIMIT are the two size guards, read where
+    # they are checked; no public callable or CLI option overrides them,
+    # and no second exhaustive bound or its exception comes back.
+    assert not hasattr(conclose, "INDEPENDENCE_BOUND")
+    assert not hasattr(conclose, "SetTooLarge")
     guards = {"limit", "bound", "max_size", "max_ground", "independence_bound"}
     for name in conclose.__all__:
         obj = getattr(conclose, name)

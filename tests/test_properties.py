@@ -3,8 +3,9 @@ scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
 co-atoms against the closed-set family, the dualizer against a subset
 scan, the closed-set family and the structure queries (minimal
-generators, meet-irreducibles, distributivity) against their
-definitions, and the text format round trip."""
+generators, meet-irreducibles, distributivity, modularity,
+independence) against their definitions, and the text format round
+trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from conclose import (
     brute_force_solve,
     caratheodory_number,
     check_distributive,
+    check_independent,
+    check_modular,
     close,
     co_atoms,
     enumerate_closed_sets,
@@ -35,7 +38,14 @@ from conclose import (
 )
 from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
-from oracles import labelset, naive_distributive, naive_is_closed, naive_meet_irreducibles
+from oracles import (
+    labelset,
+    naive_distributive,
+    naive_independent,
+    naive_is_closed,
+    naive_meet_irreducibles,
+    naive_modular,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 # The brute-force twins scan all 2^n subsets, so fewer, larger instances.
@@ -322,6 +332,60 @@ def test_check_distributive_matches_oracle(instance):
         a, b = res.witness
         assert naive_is_closed(base, labelset(a)) and naive_is_closed(base, labelset(b))
         assert not naive_is_closed(base, labelset(a) | labelset(b))
+
+
+# The modular and independence oracles compare every triple of closed
+# sets and every pair of subsets, so n <= 6.
+SMALL_STRUCTURE = st.one_of(instances(max_n=6), shared_premise_instances(max_n=6))
+RULE_FREE = parse_instance("elements: a b c d e\n")
+
+
+# The flats of the uniform rank-3 matroid on four points: every upper
+# cover pair joins to a common cover, but the lines {a b} and {c d}
+# are covered by the full set and meet in the empty set, which neither
+# covers, so only the lower semimodular half of the check sees it.
+UNIFORM_3_4 = parse_instance(
+    "elements: a b c d\nimp: a b c -> d\nimp: a b d -> c\nimp: a c d -> b\nimp: b c d -> a\n"
+)
+
+
+@PIPELINE
+@example(EVERYTHING)
+@example(RULE_FREE)
+@example(UNIFORM_3_4)
+@given(SMALL_STRUCTURE)
+def test_check_modular_matches_oracle(instance):
+    base, _ = instance
+    res = check_modular(base)
+    assert res.ok == naive_modular(base)
+    if not res.ok:
+        f1, f2, f3 = (s.mask for s in res.witness)
+        assert f1 & ~f2 == 0
+        assert all(fixpoint_closure(base, f) == f for f in (f1, f2, f3))
+        lhs = fixpoint_closure(base, f1 | (f2 & f3))
+        assert lhs != fixpoint_closure(base, f1 | f3) & f2
+
+
+# In the two bases below, the only failing Y misses an element above
+# its lowest missing one, and in the first Y also holds an element
+# below it: cl({a b}) ∩ cl({a c}) is {a d}, not cl({a}); then
+# cl({a c}) ∩ cl({c d}) is {b c}, not cl({c}).
+@PIPELINE
+@example(EVERYTHING, 0b111)
+@example(RULE_FREE, 0b11111)
+@example(parse_instance("elements: a b c d\nimp: a b -> d\nimp: a c -> d\n"), 0b0111)
+@example(parse_instance("elements: a b c d\nimp: c d -> b\nimp: a c -> b\n"), 0b1101)
+@given(SMALL_STRUCTURE, st.integers(0, (1 << 6) - 1))
+def test_check_independent_matches_oracle(instance, pick):
+    base, _ = instance
+    subset = ElemSet(base.ground, pick & base.ground.full_mask)
+    res = check_independent(base, subset)
+    assert res.ok == naive_independent(base, subset.labels())
+    if not res.ok:
+        y1, y2 = (s.mask for s in res.witness)
+        assert (y1 | y2) & ~subset.mask == 0
+        meet = fixpoint_closure(base, y1) & fixpoint_closure(base, y2)
+        assert fixpoint_closure(base, y1 & y2) != meet
 
 
 # Non-empty, whitespace-free text, often near the format's own tokens;
