@@ -51,9 +51,8 @@ class _Chainer:
         self.n = base.ground.n
         self.full = base.ground.full_mask
         merged: dict[int, int] = {}
-        for imp in base.implications:
-            p = imp.premise.mask
-            merged[p] = merged.get(p, 0) | imp.conclusion.mask
+        for p, c in base.rules:
+            merged[p] = merged.get(p, 0) | c
         self.rules = list(merged.items())
         self.base_fire = merged.get(0, 0)
         self.premise_sizes = [p.bit_count() for p, _ in self.rules]

@@ -306,33 +306,50 @@ class Implication:
 class ImplicationalBase:
     """An ordered collection of implications over one ground set.
 
+    The rules are stored as ``rules``, a tuple of ``(premise,
+    conclusion)`` mask pairs; the parser, augmentation and the closure
+    engine read and write only these pairs. The Implication objects of
+    ``implications`` are built from them the first time a caller asks.
     Exact duplicate rules are dropped at construction, keeping the first
     occurrence; the number removed is recorded for validation reports.
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("ground", "implications", "duplicates_removed", "_chainer")
+    __slots__ = ("ground", "rules", "duplicates_removed", "_implications", "_chainer")
 
     def __init__(self, ground: GroundSet, implications: Iterable[Implication]):
-        seen: set[tuple[int, int]] = set()
-        kept: list[Implication] = []
-        dropped = 0
+        pairs = []
         for imp in implications:
             if imp.premise.ground != ground:
                 raise MismatchedGroundSets("implication over a different ground set")
-            sig = (imp.premise.mask, imp.conclusion.mask)
-            if sig in seen:
-                dropped += 1
-                continue
-            seen.add(sig)
-            kept.append(imp)
+            pairs.append((imp.premise.mask, imp.conclusion.mask))
+        self._store(ground, pairs)
+
+    @classmethod
+    def _from_rules(cls, ground: GroundSet, pairs: list[tuple[int, int]]) -> "ImplicationalBase":
+        # Mask pairs that already fit the ground set and conclude something.
+        base = cls.__new__(cls)
+        base._store(ground, pairs)
+        return base
+
+    def _store(self, ground: GroundSet, pairs: list[tuple[int, int]]) -> None:
         self.ground = ground
-        self.implications = tuple(kept)
-        self.duplicates_removed = dropped
+        self.rules = tuple(dict.fromkeys(pairs))  # first occurrences, in order
+        self.duplicates_removed = len(pairs) - len(self.rules)
+        self._implications = None
         self._chainer = None  # lazily built forward-chaining engine
 
+    @property
+    def implications(self) -> tuple[Implication, ...]:
+        if self._implications is None:
+            g = self.ground
+            self._implications = tuple(
+                Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in self.rules
+            )
+        return self._implications
+
     def __len__(self) -> int:
-        return len(self.implications)
+        return len(self.rules)
 
     def __iter__(self) -> Iterator[Implication]:
         return iter(self.implications)
@@ -341,15 +358,14 @@ class ImplicationalBase:
         return (
             isinstance(other, ImplicationalBase)
             and self.ground == other.ground
-            and [(i.premise.mask, i.conclusion.mask) for i in self.implications]
-            == [(i.premise.mask, i.conclusion.mask) for i in other.implications]
+            and self.rules == other.rules
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, tuple((i.premise.mask, i.conclusion.mask) for i in self.implications)))
+        return hash((self.ground, self.rules))
 
     def __repr__(self) -> str:
-        return f"ImplicationalBase(n={self.ground.n}, implications={len(self.implications)})"
+        return f"ImplicationalBase(n={self.ground.n}, implications={len(self.rules)})"
 
 
 class ConsistencyGraph:
@@ -429,10 +445,10 @@ def validate_instance(base: ImplicationalBase, graph: ConsistencyGraph) -> Valid
         theirs = set(graph.ground.labels)
         diff = sorted(ours.symmetric_difference(theirs)) or ["same labels, different order"]
         raise MismatchedGroundSets(f"base and graph ground sets differ: {diff}")
-    empty = tuple(i for i, imp in enumerate(base.implications) if not imp.premise)
+    empty = tuple(i for i, (p, _) in enumerate(base.rules) if not p)
     return ValidationReport(
         n_elements=base.ground.n,
-        n_implications=len(base.implications),
+        n_implications=len(base.rules),
         n_edges=len(graph.edges),
         empty_premises=empty,
         duplicates_removed=base.duplicates_removed,
@@ -449,30 +465,24 @@ def format_sets(sets: Iterable[ElemSet]) -> str:
 # Text instance format
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
 def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
     """Parse the plain-text instance format into a base and a graph.
 
     Raises ParseError with a 1-based line number on any malformed or
     unknown content. Rules with empty conclusions are rejected here as
-    vacuous rather than silently kept.
+    vacuous rather than silently kept. Each rule becomes a ``(premise,
+    conclusion)`` mask pair through one label-to-bit dict; no ElemSet or
+    Implication is built, and no rule is checked a second time.
     """
     lines = text.splitlines()
     ground: GroundSet | None = None
     elements_line = 0
 
     for no, raw in enumerate(lines, start=1):
-        body = _strip(raw)
-        if not body:
+        if "elements:" not in raw:  # a cheap test first; most lines are rules
             continue
-        tokens = body.split()
-        if tokens[0] == "elements:":
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and tokens[0] == "elements:":
             if ground is not None:
                 raise ParseError(no, f"duplicate elements: line (first was line {elements_line})")
             try:
@@ -483,19 +493,23 @@ def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
     if ground is None:
         raise ParseError(max(len(lines), 1), "no elements: line found")
 
-    def lookup(no: int, token: str) -> int:
-        try:
-            return ground.index(token)
-        except KeyError:
-            raise ParseError(no, f"unknown element {token!r}") from None
+    bit = {lab: 1 << i for i, lab in enumerate(ground.labels)}
 
-    implications: list[Implication] = []
+    def mask_of(no: int, tokens: list[str]) -> int:
+        mask = 0
+        try:
+            for tok in tokens:
+                mask |= bit[tok]
+        except KeyError as exc:
+            raise ParseError(no, f"unknown element {exc.args[0]!r}") from None
+        return mask
+
+    rules: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     for no, raw in enumerate(lines, start=1):
-        body = _strip(raw)
-        if not body:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = body.split()
         head, rest = tokens[0], tokens[1:]
         if head == "elements:":
             continue
@@ -503,27 +517,19 @@ def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
             if rest.count("->") != 1:
                 raise ParseError(no, "imp: line needs exactly one '->'")
             split = rest.index("->")
-            premise = rest[:split]
             conclusion = rest[split + 1:]
             if not conclusion:
                 raise ParseError(no, "implication with empty conclusion is vacuous")
-            pmask = 0
-            for tok in premise:
-                pmask |= 1 << lookup(no, tok)
-            cmask = 0
-            for tok in conclusion:
-                cmask |= 1 << lookup(no, tok)
-            implications.append(
-                Implication(ElemSet(ground, pmask), ElemSet(ground, cmask))
-            )
+            rules.append((mask_of(no, rest[:split]), mask_of(no, conclusion)))
         elif head == "edge:":
             if len(rest) != 2:
                 raise ParseError(no, "edge: line needs exactly two elements")
-            edges.append((lookup(no, rest[0]), lookup(no, rest[1])))
+            u, v = (mask_of(no, [tok]).bit_length() - 1 for tok in rest)
+            edges.append((u, v))
         else:
             raise ParseError(no, f"unknown directive {head!r}")
 
-    return ImplicationalBase(ground, implications), ConsistencyGraph(ground, edges)
+    return ImplicationalBase._from_rules(ground, rules), ConsistencyGraph(ground, edges)
 
 
 def load_instance(path) -> tuple[ImplicationalBase, ConsistencyGraph]:
@@ -541,10 +547,14 @@ def format_instance(base: ImplicationalBase, graph: ConsistencyGraph | None = No
     """Serialize a base (and optional graph) back into the text format."""
     if graph is not None and graph.ground != base.ground:
         raise MismatchedGroundSets("base and graph ground sets differ")
-    out = ["elements: " + " ".join(base.ground.labels)]
-    for imp in base.implications:
-        tokens = ["imp:", *imp.premise.labels(), "->", *imp.conclusion.labels()]
-        out.append(" ".join(tokens))
+    labels = base.ground.labels
+
+    def names(mask: int) -> list[str]:
+        return [labels[i] for i in iter_bits(mask)]
+
+    out = ["elements: " + " ".join(labels)]
+    for p, c in base.rules:
+        out.append(" ".join(["imp:", *names(p), "->", *names(c)]))
     if graph is not None:
         for u, v in graph.edge_labels():
             out.append(f"edge: {u} {v}")

@@ -17,7 +17,6 @@ from math import comb
 
 from .core import (
     ConsistencyGraph,
-    ElemSet,
     GroundSet,
     Implication,
     ImplicationalBase,
@@ -48,15 +47,10 @@ def gen_reduction(
     v_lab = _fresh("v", taken)
     g = GroundSet(old.labels + (u_lab, v_lab))
 
-    def lift(s: ElemSet) -> ElemSet:
-        return ElemSet(g, s.mask)  # old indices are preserved by appending
-
-    rules = [Implication(lift(i.premise), lift(i.conclusion)) for i in base.implications]
-    y_all = ElemSet(g, old.full_mask)
-    uv = g.set_of(u_lab, v_lab)
-    rules.append(Implication(y_all, uv))
+    # Old indices are preserved by appending, so the old rules keep their masks.
+    rules = [*base.rules, (old.full_mask, 0b11 << old.n)]
     graph = ConsistencyGraph(g, [(old.n, old.n + 1)])
-    return ImplicationalBase(g, rules), graph
+    return ImplicationalBase._from_rules(g, rules), graph
 
 
 @dataclass(frozen=True)
@@ -266,12 +260,8 @@ def gen_poset_convexity(poset: Poset) -> ImplicationalBase:
                 continue
             for y in range(n):
                 if poset.less(x, y) and poset.less(y, z):
-                    rules.append(
-                        Implication(
-                            ElemSet(g, (1 << x) | (1 << z)), ElemSet(g, 1 << y)
-                        )
-                    )
-    return ImplicationalBase(g, rules)
+                    rules.append(((1 << x) | (1 << z), 1 << y))
+    return ImplicationalBase._from_rules(g, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +283,10 @@ def gen_projective_gf2(dim: int) -> ImplicationalBase:
     labels = [str(p) for p in range(1, count + 1)]
     g = GroundSet(labels)
     rules = []
-    for p in range(1, count + 1):
+    for p in range(1, count + 1):  # point p is element p - 1
         for q in range(p + 1, count + 1):
-            r = p ^ q
-            rules.append(Implication(g.set_of(str(p), str(q)), g.set_of(str(r))))
-    return ImplicationalBase(g, rules)
+            rules.append(((1 << (p - 1)) | (1 << (q - 1)), 1 << ((p ^ q) - 1)))
+    return ImplicationalBase._from_rules(g, rules)
 
 
 def gen_fano() -> ImplicationalBase:
@@ -343,7 +332,7 @@ def gen_random(
     )
     wanted = min(n_imps, distinct)
     seen: set[tuple[int, int]] = set()
-    rules: list[Implication] = []
+    rules: list[tuple[int, int]] = []
     attempts = 0
     while len(rules) < wanted and attempts < 50 * (n_imps + 1):
         attempts += 1
@@ -362,8 +351,8 @@ def gen_random(
         if (pmask, cmask) in seen:
             continue
         seen.add((pmask, cmask))
-        rules.append(Implication(ElemSet(g, pmask), ElemSet(g, cmask)))
+        rules.append((pmask, cmask))
 
     all_pairs = list(itertools.combinations(range(n), 2))
     edges = rng.sample(all_pairs, n_edges)
-    return ImplicationalBase(g, rules), ConsistencyGraph(g, edges)
+    return ImplicationalBase._from_rules(g, rules), ConsistencyGraph(g, edges)

@@ -15,6 +15,15 @@ rules it merges. A rewrite is looked up at most once: the index only
 grows, so a rewrite found covered stays covered, and a minimized one
 left a subset of itself in the index.
 
+A rule whose premise holds a known key is retired from every later
+scan: each rewrite ``p | (k & ~c)`` of it holds that key, so the index
+would report it covered, and since the index only grows it always
+would. Retiring it changes no output, only the work. One bitmask per
+element marks the rules whose premise holds it, so the rules a new key
+retires are the AND of those masks over the key's elements; a second
+mask per element marks the rules whose conclusion meets it, so a key's
+scan reads only the live rules whose conclusion meets the key.
+
 Minimal generators are key queries too: the minimal sets whose closure
 holds an element x are the minimal keys of the base plus the rule
 ``{x} -> everything``. The same full-set rules, one per conflict edge,
@@ -37,9 +46,9 @@ from .core import (
     ConsistencyGraph,
     ElemSet,
     ImplicationalBase,
-    Implication,
     SubsetIndex,
     _refuse_past_exhaustive_limit,
+    iter_bits,
 )
 from .errors import (
     EmptyGraph,
@@ -52,10 +61,8 @@ from .errors import (
 
 def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
     # The base plus one rule per premise mask that forces the full set.
-    g = base.ground
-    full = g.full()
-    extra = [Implication(ElemSet(g, p), full) for p in premises]
-    return ImplicationalBase(g, list(base.implications) + extra)
+    full = base.ground.full_mask
+    return ImplicationalBase._from_rules(base.ground, [*base.rules, *((p, full) for p in premises)])
 
 
 def augment_with_inconsistency(
@@ -103,31 +110,61 @@ def minimize_superkey(base: ImplicationalBase, superkey: ElemSet) -> ElemSet:
 def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet, ...]:
     """All minimal keys of ``base`` by Lucchesi-Osborn saturation, in lectic order.
 
-    Raises OutputLimitExceeded with the keys found so far when more
-    than ``cap`` keys appear.
+    Raises OutputLimitExceeded as soon as key ``cap + 1`` is found,
+    carrying those ``cap + 1`` keys.
     """
     g = base.ground
     ch = _chainer(base)
     full = g.full_mask
-    found = [_minimize_mask(ch, full, full)]
-    index = SubsetIndex(g.n, found)
+    rules = ch.rules
+    holds = [0] * g.n  # holds[i]: the rules whose premise holds element i, one bit per rule
+    meets = [0] * g.n  # meets[i]: the rules whose conclusion holds element i
+    for j, (pmask, cmask) in enumerate(rules):
+        bit = 1 << j
+        for i in iter_bits(pmask):
+            holds[i] |= bit
+        for i in iter_bits(cmask):
+            meets[i] |= bit
+    live = (1 << len(rules)) - 1  # the rules not yet retired
+    found: list[int] = []
+    index = SubsetIndex(g.n)
     tried: set[int] = set()  # rewrites already looked up; the index only grows
-    for k in found:  # keys appended below are scanned in turn, first in first out
+
+    def add_key(k: int) -> None:
+        nonlocal live
+        found.append(k)
+        index.add(k)
         if len(found) > cap:
-            partial = [ElemSet(g, m) for m in sorted(found)]
-            raise OutputLimitExceeded("keys", cap, partial)
-        for pmask, cmask in ch.rules:
-            if cmask & k == 0:
-                continue
+            raise OutputLimitExceeded("keys", cap, [ElemSet(g, m) for m in sorted(found)])
+        # Every rewrite of a rule whose premise holds k holds k too.
+        dead = live
+        m = k
+        while m and dead:
+            low = m & -m
+            m ^= low
+            dead &= holds[low.bit_length() - 1]
+        live ^= dead
+
+    add_key(_minimize_mask(ch, full, full))
+    for k in found:  # keys appended below are scanned in turn, first in first out
+        todo = 0
+        m = k
+        while m:
+            low = m & -m
+            m ^= low
+            todo |= meets[low.bit_length() - 1]
+        todo &= live
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            pmask, cmask = rules[low.bit_length() - 1]
             s = pmask | (k & ~cmask)
             if s in tried:
                 continue
             tried.add(s)
             if index.has_subset_of(s):
                 continue
-            new = _minimize_mask(ch, full, s)
-            found.append(new)
-            index.add(new)
+            add_key(_minimize_mask(ch, full, s))
     found.sort()
     return tuple(ElemSet(g, m) for m in found)
 

@@ -88,6 +88,16 @@ def test_keys_cap_counts_the_first_key(capsys, tmp_path):
     assert out == "keys: 1\na b\n"
 
 
+def test_keys_cap_stops_at_the_first_key_past_it(capsys, tmp_path):
+    # gen_exponential(10) has 1025 keys; the saturation stops at the fourth.
+    p = tmp_path / "doubling.txt"
+    assert run_cli(capsys, "generate", "exponential", "--n", "10", "-o", str(p))[0] == 0
+    code, out, err = run_cli(capsys, "keys", "--cap-keys", "3", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "incomplete: keys: output cap of 3 exceeded (at least 4 results) (partial results: 4)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

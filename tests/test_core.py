@@ -261,19 +261,28 @@ def test_parse_empty_premise_allowed():
 
 def test_parse_errors_carry_line_numbers():
     cases = [
-        ("imp: a -> b\n", 1),                          # no elements directive
-        ("elements: a b\nimp: a -> \n", 2),            # empty conclusion
-        ("elements: a b\nimp: a b\n", 2),              # missing arrow
-        ("elements: a b\nedge: a\n", 2),               # edge needs two endpoints
-        ("elements: a b\nimp: a -> q\n", 2),           # unknown element
-        ("elements: a b\nwhat: x\n", 2),               # unknown directive
-        ("elements: a a\n", 1),                        # duplicate labels
-        ("elements: a\nelements: a\n", 2),             # repeated directive
+        ("imp: a -> b\n", 1, "no elements: line found"),
+        ("elements: a b\nimp: a -> \n", 2, "implication with empty conclusion is vacuous"),
+        ("elements: a b\nimp: q -> \n", 2, "implication with empty conclusion is vacuous"),
+        ("elements: a b\nimp: a b\n", 2, "imp: line needs exactly one '->'"),
+        ("elements: a b\nimp: a -> b -> a\n", 2, "imp: line needs exactly one '->'"),
+        ("elements: a b\nedge: a\n", 2, "edge: line needs exactly two elements"),
+        ("elements: a b\nedge: a b a\n", 2, "edge: line needs exactly two elements"),
+        ("elements: a b\nimp: q -> a\n", 2, "unknown element 'q'"),     # in a premise
+        ("elements: a b\nimp: a -> q\n", 2, "unknown element 'q'"),     # in a conclusion
+        ("elements: a b\nimp: q -> z\n", 2, "unknown element 'q'"),     # the first one named
+        ("elements: a b\nedge: a q\n", 2, "unknown element 'q'"),       # in an edge
+        ("elements: a b\nwhat: x\n", 2, "unknown directive 'what:'"),
+        ("elements: a a\n", 1, "element labels must be distinct"),
+        ("elements: a\nelements: a\n", 2, "duplicate elements: line (first was line 1)"),
+        # a repeated elements: line is reported before any other fault
+        ("elements: a b\nwhat: x\nelements: b\n", 3, "duplicate elements: line (first was line 1)"),
     ]
-    for text, line in cases:
+    for text, line, message in cases:
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert err.value.line == line, text
+        assert str(err.value) == f"line {line}: {message}", text
 
 
 def test_parse_rejects_arrow_label():

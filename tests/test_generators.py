@@ -314,3 +314,33 @@ def test_random_returns_every_distinct_rule_when_asked_for_more():
 def test_random_agrees_with_brute_force_quickly():
     base, graph = gen_random(6, 6, 2, 3, seed=31)
     assert solve(base, graph).sets == brute_force_solve(base, graph).sets
+
+
+# ---------------------------------------------------------------------------
+# Every family reads back from its text as the same mask-pair base
+
+FAMILIES = {
+    "random": lambda: gen_random(12, 20, 3, 6, seed=4),
+    "exponential": lambda: gen_exponential(4),
+    "poset_convexity": lambda: (gen_poset_convexity(gen_random_poset(12, 3)), None),
+    "gf2_dim2": lambda: (gen_projective_gf2(2), None),
+    "gf2_dim3": lambda: (gen_projective_gf2(3), None),
+    "fano": lambda: (gen_fano(), None),
+    "cnf_reduction": lambda: gen_reduction(
+        gen_cnf_lower_bounded(CnfFormula(5, ((1, 2, 3), (2, 4, 5), (1, 3, 5))))
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_parsed_text_matches_the_generated_base(family):
+    base, graph = FAMILIES[family]()
+    parsed, parsed_graph = parse_instance(format_instance(base, graph))
+    assert parsed.rules == base.rules
+    assert all(isinstance(m, int) for rule in parsed.rules for m in rule)
+    assert parsed.implications == base.implications
+    assert parsed.duplicates_removed == base.duplicates_removed == 0
+    assert parsed == base and hash(parsed) == hash(base)
+    assert ImplicationalBase(base.ground, base.implications) == base
+    if graph is not None:
+        assert parsed_graph == graph

@@ -149,7 +149,8 @@ def test_key_cap_reports_partial():
     with pytest.raises(OutputLimitExceeded) as err:
         enumerate_keys(aug, cap=5)
     assert err.value.phase == "keys"
-    assert len(err.value.partial) >= 5
+    # The saturation stops at the key that passes the cap, as MMCS does.
+    assert len(err.value.partial) == 5 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,33 @@ def test_saturation_work_guards(monkeypatch):
     assert len(keys) > 1
     assert looked_up and max(looked_up.values()) == 1
     assert len(minimized) == len(keys)
+    assert keys == brute_force_keys(aug)
+
+
+def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
+    # A compiled rule whose premise holds a known key only rewrites into
+    # supersets of that key, so it leaves every later scan. Without that
+    # retirement the same saturation looks up 74 rewrites; the keys and
+    # the minimizations (one per key) are the same either way.
+    base = gen_poset_convexity(gen_random_poset(10, 1))
+    aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))
+    calls = {"lookup": 0, "minimize": 0}
+    has_subset_of = SubsetIndex.has_subset_of
+    minimize = keys_module._minimize_mask
+
+    def counting_lookup(index, mask):
+        calls["lookup"] += 1
+        return has_subset_of(index, mask)
+
+    def counting_minimize(ch, full, mask):
+        calls["minimize"] += 1
+        return minimize(ch, full, mask)
+
+    monkeypatch.setattr(SubsetIndex, "has_subset_of", counting_lookup)
+    monkeypatch.setattr(keys_module, "_minimize_mask", counting_minimize)
+    keys = enumerate_keys(aug)
+    assert len(keys) == 18
+    assert calls == {"lookup": 57, "minimize": 18}
     assert keys == brute_force_keys(aug)
 
 
