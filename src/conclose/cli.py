@@ -5,29 +5,20 @@ analyze, generate. Output is plain text by default or JSON with
 --format json; the generate command always emits the instance text
 format. Exit codes: 0 on success, 1 on any error, 2 when an
 enumeration hit its output cap and the results are incomplete. Usage
-errors exit 1 too, so 2 always means partial output.
+errors exit 1 too, so 2 always means partial output. The modules
+that only one command needs (analysis, generators, json) are imported
+inside that command, so the others never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Iterable
 
-from .analysis import analyze
 from .closure import close
 from .core import KEY_CAP, MIS_CAP, format_instance, load_instance
 from .errors import ClosureError, OutputLimitExceeded
-from .generators import (
-    gen_cnf_lower_bounded,
-    gen_exponential,
-    gen_fano,
-    gen_projective_gf2,
-    gen_random,
-    gen_reduction,
-    parse_dimacs_cnf,
-)
 from .keys import augment_with_inconsistency, enumerate_keys
 from .solver import brute_force_solve, co_atoms, solve
 
@@ -39,6 +30,8 @@ def _emit(
 ) -> None:
     """Print the chosen format; only the chosen one of the two is built."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
         for line in text_lines():
@@ -116,6 +109,8 @@ def _cmd_coatoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import analyze
+
     base, _ = load_instance(args.instance)
     report = analyze(base)
     _emit(args, report.to_dict, lambda: report.render_text().splitlines())
@@ -123,26 +118,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import generators as gen
+
     family = args.family
     if family == "random":
-        base, graph = gen_random(
+        base, graph = gen.gen_random(
             args.n, args.imps, args.max_premise, args.edges, args.seed
         )
     elif family == "exponential":
-        base, graph = gen_exponential(args.n)
+        base, graph = gen.gen_exponential(args.n)
     elif family == "cnf":
         if not args.cnf_path:
             raise ClosureError("the cnf family needs --cnf FILE")
         with open(args.cnf_path, "r", encoding="utf-8") as fh:
-            cnf = parse_dimacs_cnf(fh.read())
-        base = gen_cnf_lower_bounded(cnf)
+            cnf = gen.parse_dimacs_cnf(fh.read())
+        base = gen.gen_cnf_lower_bounded(cnf)
         graph = None
         if args.reduce:
-            base, graph = gen_reduction(base)
+            base, graph = gen.gen_reduction(base)
     elif family == "fano":
-        base, graph = gen_fano(), None
+        base, graph = gen.gen_fano(), None
     elif family == "gf2":
-        base, graph = gen_projective_gf2(args.dim), None
+        base, graph = gen.gen_projective_gf2(args.dim), None
     else:
         raise ClosureError(f"unknown family {family!r}")
     text = format_instance(base, graph)

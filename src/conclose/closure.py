@@ -20,6 +20,7 @@ from __future__ import annotations
 from .core import (
     ElemSet,
     ImplicationalBase,
+    SubsetIndex,
     _refuse_past_exhaustive_limit,
     iter_bits,
     minimal,
@@ -41,10 +42,14 @@ class _Chainer:
     soon as the result is the full set; close() runs it from fresh
     counters. ``element_keys`` maps an element x to the minimal keys of
     the base plus ``{x} -> everything``, filled on demand by keys.py.
+    ``proper_closed`` is None until keys.py first minimizes the full
+    set on this engine; it then holds a SubsetIndex over the
+    complements of the proper closed sets that minimization met.
     """
 
     __slots__ = (
-        "n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire", "element_keys"
+        "n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire",
+        "element_keys", "proper_closed",
     )
 
     def __init__(self, base: ImplicationalBase):
@@ -62,6 +67,7 @@ class _Chainer:
             for i in iter_bits(p):
                 self.occurs[i].append(j)
         self.element_keys: dict[int, tuple[ElemSet, ...]] = {}
+        self.proper_closed: SubsetIndex | None = None
 
     def close(self, mask: int) -> int:
         result = mask | self.base_fire

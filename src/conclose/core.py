@@ -24,7 +24,6 @@ anywhere on a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -278,8 +277,51 @@ class ElemSet:
         return "{" + self.to_text() + "}"
 
 
-@dataclass(frozen=True)
-class Implication:
+class _Frozen:
+    """Base of the small value classes, in place of frozen dataclasses.
+
+    Each field is a slot, set once by ``_set`` in ``__init__``, which
+    takes the values in slot order; later assignment raises
+    AttributeError. Instances compare and hash, only
+    with their own class, by ``_key()``, which is every field in slot
+    order unless a subclass narrows it; they pickle and copy through
+    their constructor, with the fields as positional arguments.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Implication(_Frozen):
     """A rule ``premise -> conclusion`` between sets over one ground set.
 
     The conclusion must be non-empty; a rule concluding nothing says
@@ -287,14 +329,14 @@ class Implication:
     every closure) but make the system non-standard.
     """
 
-    premise: ElemSet
-    conclusion: ElemSet
+    __slots__ = ("premise", "conclusion")
 
-    def __post_init__(self):
-        if self.premise.ground != self.conclusion.ground:
+    def __init__(self, premise: ElemSet, conclusion: ElemSet):
+        if premise.ground != conclusion.ground:
             raise MismatchedGroundSets("premise and conclusion over different ground sets")
-        if not self.conclusion:
+        if not conclusion:
             raise ValueError("implication conclusion must be non-empty")
+        self._set(premise, conclusion)
 
     def to_text(self) -> str:
         return f"{self.premise.to_text()} -> {self.conclusion.to_text()}"
@@ -419,16 +461,31 @@ class ConsistencyGraph:
         return f"ConsistencyGraph(n={self.ground.n}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Structural facts about an instance, gathered by validate_instance."""
+class ValidationReport(_Frozen):
+    """Structural facts about an instance, gathered by validate_instance.
 
-    n_elements: int
-    n_implications: int
-    n_edges: int                         # 0: the problem is trivial, the full set is the one answer
-    empty_premises: tuple[int, ...]      # positions of empty-premise rules
-    duplicates_removed: int
-    self_loops_dropped: int
+    ``n_edges`` 0 means the problem is trivial: the full set is the one
+    answer. ``empty_premises`` holds the positions of empty-premise rules.
+    """
+
+    __slots__ = (
+        "n_elements", "n_implications", "n_edges", "empty_premises",
+        "duplicates_removed", "self_loops_dropped",
+    )
+
+    def __init__(
+        self,
+        n_elements: int,
+        n_implications: int,
+        n_edges: int,
+        empty_premises: tuple[int, ...],
+        duplicates_removed: int,
+        self_loops_dropped: int,
+    ):
+        self._set(
+            n_elements, n_implications, n_edges, empty_premises, duplicates_removed,
+            self_loops_dropped,
+        )
 
 
 def validate_instance(base: ImplicationalBase, graph: ConsistencyGraph) -> ValidationReport:

@@ -24,6 +24,19 @@ retires are the AND of those masks over the key's elements; a second
 mask per element marks the rules whose conclusion meets it, so a key's
 scan reads only the live rules whose conclusion meets the key.
 
+Minimization drops elements greedily, each kept only when the closure
+of the rest falls short of the full set. Every saturation first
+minimizes the full set, and each element that minimization keeps leaves
+a proper closed set cl(rest). Their complements, at most one per
+element of that first key, go into a SubsetIndex on the compiled
+engine. In every later minimization a rest inside one of those closed
+sets cannot close to the full set, so its element is kept with no
+closure; the test skipped would have failed, so every key and every
+output is as before. On the doubling family, gen_exponential(10), this
+cuts the closures of one saturation from 10,254 to 24; on random and
+poset convexity bases, whose removal tests rarely fall inside those
+sets, it saves 6-13 %.
+
 Minimal generators are key queries too: the minimal sets whose closure
 holds an element x are the minimal keys of the base plus the rule
 ``{x} -> everything``. The same full-set rules, one per conflict edge,
@@ -83,11 +96,26 @@ def augment_with_inconsistency(
 
 def _minimize_mask(ch, full: int, mask: int) -> int:
     # Drop elements in decreasing index order whenever the closure of
-    # the remainder is still full. The result is one minimal key.
+    # the remainder is still full. The result is one minimal key. A
+    # remainder inside a proper closed set of the engine's certificate
+    # cannot close to full, so its element stays without a closure.
+    proper = ch.proper_closed
+    certificate = SubsetIndex(ch.n) if proper is None and mask == full else None
     for i in reversed(range(full.bit_length())):
         bit = 1 << i
-        if mask & bit and ch.close(mask ^ bit) == full:
-            mask ^= bit
+        if not mask & bit:
+            continue
+        rest = mask ^ bit
+        if proper is not None and proper.has_subset_of(full ^ rest):
+            continue
+        closed = ch.close(rest)
+        if closed == full:
+            mask = rest
+        elif certificate is not None:
+            certificate.add(full ^ closed)
+    if certificate is not None:
+        # Published whole, so a thread sharing the base never reads a half-built index.
+        ch.proper_closed = certificate
     return mask
 
 

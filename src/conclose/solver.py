@@ -20,7 +20,6 @@ is provided for cross-checking at desk scale.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 
 from .closure import _chainer, _closed_masks
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     ElemSet,
     GroundSet,
     ImplicationalBase,
+    _Frozen,
     format_sets,
 )
 from .errors import MismatchedGroundSets
@@ -37,28 +37,36 @@ from .keys import _element_keys, augment_with_inconsistency, enumerate_keys
 from .transversal import maximal_independent_sets
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(_Frozen):
     """Work counters for one solver run.
 
     ``key_count`` is None when the producing code path (for example the
-    brute-force oracle) has no key phase.
+    brute-force oracle) has no key phase. ``seconds`` maps each phase to
+    its wall time, empty by default.
     """
 
-    key_count: int | None = None
-    seconds: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("key_count", "seconds")
+
+    def __init__(self, key_count: int | None = None, seconds: dict[str, float] | None = None):
+        self._set(key_count, {} if seconds is None else seconds)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"key_count": self.key_count, "seconds": dict(self.seconds)}
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """The maximal consistent closed sets of an instance, in lectic order."""
+class SolutionSet(_Frozen):
+    """The maximal consistent closed sets of an instance, in lectic order.
 
-    ground: GroundSet
-    sets: tuple[ElemSet, ...]
-    stats: SolveStats = field(default_factory=SolveStats, compare=False)
+    Equality and hashing read the ground set and the sets, not the stats.
+    """
+
+    __slots__ = ("ground", "sets", "stats")
+
+    def __init__(self, ground: GroundSet, sets: tuple[ElemSet, ...], stats: SolveStats | None = None):
+        self._set(ground, sets, SolveStats() if stats is None else stats)
+
+    def _key(self) -> tuple:
+        return self.ground, self.sets
 
     def __iter__(self):
         return iter(self.sets)

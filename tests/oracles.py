@@ -82,6 +82,17 @@ def naive_keys(base):
     return set(minimal_only(closing))
 
 
+def greedy_minimize(base, labels):
+    """Drop elements of a superkey in decreasing ground order while the
+    rest still closes to the full set; the one key this order gives."""
+    full = frozenset(base.ground.labels)
+    cur = frozenset(labels)
+    for lab in reversed(base.ground.labels):
+        if lab in cur and naive_close(base, cur - {lab}) == full:
+            cur -= {lab}
+    return cur
+
+
 def naive_covers(base, labels):
     f = frozenset(labels)
     above = [s for s in naive_family(base) if f < s]

@@ -2,6 +2,10 @@
 and file round trips through the generate command."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,30 @@ def test_solve_json_parity(capsys, demo_file):
     payload = json.loads(out)
     assert payload["solutions"] == [["1", "2", "3"], ["3", "5"], ["1", "4", "5"]]
     assert payload["stats"]["key_count"] == 4
+
+
+def _imported(*args: str) -> set[str]:
+    # Every module a fresh interpreter imports, as -X importtime lists them.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_solve_loads_only_the_solve_path(demo_file):
+    # The analysis and generator modules, dataclasses and json load only
+    # for the commands that use them; what a bare interpreter's site
+    # setup imports does not count.
+    loaded = _imported("-m", "conclose", "solve", demo_file) - _imported("-c", "pass")
+    assert {"conclose.cli", "conclose.keys", "conclose.solver"} <= loaded
+    assert not loaded & {"conclose.analysis", "conclose.generators", "dataclasses", "json"}
 
 
 def test_solve_no_edges_returns_everything(capsys, tmp_path):

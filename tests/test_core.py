@@ -1,6 +1,8 @@
 import argparse
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import random
 import re
@@ -17,6 +19,8 @@ from conclose import (
     ImplicationalBase,
     MismatchedGroundSets,
     ParseError,
+    SolutionSet,
+    SolveStats,
     format_instance,
     format_sets,
     load_instance,
@@ -200,6 +204,36 @@ def test_base_drops_exact_duplicates_keeps_order():
     assert list(base) == [i1, i2]
     assert base.duplicates_removed == 3
     assert len(base) == 2
+
+
+def test_value_classes_are_frozen_records(demo_base, demo_graph):
+    # Implication, ValidationReport, SolveStats and SolutionSet are plain
+    # slotted classes: fields are read-only, equality and hashing go by
+    # field values within one class, and copies keep every field.
+    g = GroundSet(["a", "b"])
+    imp = Implication(g.set_of("a"), g.set_of("b"))
+    report = validate_instance(demo_base, demo_graph)
+    stats = SolveStats(key_count=2, seconds={"keys": 0.5})
+    sol = SolutionSet(g, (g.set_of("a"),), stats)
+    for obj, field in ((imp, "premise"), (report, "n_edges"), (stats, "key_count"), (sol, "sets")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert imp == Implication(g.set_of("a"), g.set_of("b")) != Implication(g.set_of("b"), g.set_of("a"))
+    assert hash(imp) == hash(Implication(g.set_of("a"), g.set_of("b")))
+    assert report == validate_instance(demo_base, demo_graph)
+    assert report.empty_premises == () and report.n_edges == 3
+    assert imp != (imp.premise, imp.conclusion)
+    # SolutionSet equality and hashing ignore the run's stats.
+    assert sol == SolutionSet(g, (g.set_of("a"),))
+    assert hash(sol) == hash(SolutionSet(g, (g.set_of("a"),), SolveStats()))
+    assert SolveStats().seconds == {} and SolveStats().seconds is not SolveStats().seconds
+    assert stats.to_dict() == {"key_count": 2, "seconds": {"keys": 0.5}}
+    assert stats.to_dict()["seconds"] is not stats.seconds
+    assert repr(stats) == "SolveStats(key_count=2, seconds={'keys': 0.5})"
 
 
 def test_base_equality_and_hash():

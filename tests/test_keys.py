@@ -25,7 +25,7 @@ from conclose import (
     parse_instance,
 )
 from conclose import keys as keys_module
-from conclose.closure import _chainer
+from conclose.closure import _Chainer, _chainer
 from conclose.core import SubsetIndex
 from oracles import as_label_sets, labelset, minimal_only, naive_keys
 
@@ -241,7 +241,9 @@ def test_saturation_work_guards(monkeypatch):
     minimize = keys_module._minimize_mask
 
     def counting_lookup(index, mask):
-        looked_up[mask] += 1
+        # The key index only; the minimizations' certificate is apart.
+        if index is not _chainer(aug).proper_closed:
+            looked_up[mask] += 1
         return has_subset_of(index, mask)
 
     def counting_minimize(ch, full, mask):
@@ -269,7 +271,8 @@ def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
     minimize = keys_module._minimize_mask
 
     def counting_lookup(index, mask):
-        calls["lookup"] += 1
+        if index is not _chainer(aug).proper_closed:  # the key index only
+            calls["lookup"] += 1
         return has_subset_of(index, mask)
 
     def counting_minimize(ch, full, mask):
@@ -282,6 +285,28 @@ def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
     assert len(keys) == 18
     assert calls == {"lookup": 57, "minimize": 18}
     assert keys == brute_force_keys(aug)
+
+
+def test_doubling_saturation_closes_24_sets(monkeypatch):
+    # Minimizing the full set of 22 elements closes 22 remainders: 12
+    # close to full and 10 fail, and those 10 proper closed sets become
+    # the engine's certificate. The 1024 later minimizations then make
+    # 2 closures in all: every other removal test has a remainder inside
+    # one of the 10 sets. Without the certificate this saturation makes
+    # 10,254 closures.
+    aug = augment_with_inconsistency(*gen_exponential(10))
+    calls = 0
+    close = _Chainer.close
+
+    def counting_close(ch, mask):
+        nonlocal calls
+        calls += 1
+        return close(ch, mask)
+
+    monkeypatch.setattr(_Chainer, "close", counting_close)
+    keys = enumerate_keys(aug)
+    assert len(keys) == 1025
+    assert calls == 24
 
 
 def test_decomposition_reuses_generator_saturations(monkeypatch):

@@ -1,6 +1,7 @@
 """Hypothesis property tests: the packed subset index against the naive
 scan it replaces, the compiled closure against a plain fixpoint, the key
-and solve pipelines against their brute-force twins on random bases, the
+and solve pipelines against their brute-force twins on random bases, key
+minimization with and without its certificate against a greedy oracle, the
 co-atoms against the closed-set family, the dualizer against a subset
 scan, the closed-set family and the structure queries (minimal
 generators, meet-irreducibles, distributivity, modularity,
@@ -29,16 +30,21 @@ from conclose import (
     enumerate_closed_sets,
     enumerate_keys,
     format_instance,
+    gen_exponential,
     maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
     minimal_transversals,
+    minimize_superkey,
     parse_instance,
     solve,
 )
+from conclose.closure import _chainer
 from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
+from conclose.keys import _minimize_mask
 from oracles import (
+    greedy_minimize,
     labelset,
     naive_distributive,
     naive_independent,
@@ -270,6 +276,47 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
         bases.append(augment_with_inconsistency(base, graph))
     for b in bases:
         assert enumerate_keys(b) == brute_force_keys(b)
+
+
+@PIPELINE
+@example(EVERYTHING, [0, 0b010, 0b111])
+@example(gen_exponential(4), [1, 0b1100110011, 0, 2**40 - 1])
+@given(
+    st.one_of(instances(), shared_premise_instances()),
+    st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6),
+)
+def test_certified_minimization_matches_greedy_oracle(instance, draws):
+    # Each draw d picks key d mod #keys and adds the elements of d to it.
+    # The superkeys short of the full set are minimized before anything
+    # seeds the engine's certificate, then the full set seeds it, then
+    # every superkey is minimized again under the certificate.
+    base, graph = instance
+    bases = [base]
+    if graph.edges:
+        bases.append(augment_with_inconsistency(base, graph))
+    for b in bases:
+        g = b.ground
+        b = ImplicationalBase(g, b)  # a new compiled engine, its certificate unseeded
+        full = g.full_mask
+        ch = _chainer(b)
+        keys = brute_force_keys(b)
+        superkeys = [keys[d % len(keys)].mask | (d & full) for d in draws]
+        expected = {
+            s: greedy_minimize(b, ElemSet(g, s).labels()) for s in {*superkeys, full}
+        }
+
+        def check(s):
+            assert labelset(minimize_superkey(b, ElemSet(g, s))) == expected[s]
+            assert labelset(ElemSet(g, _minimize_mask(ch, full, s))) == expected[s]
+
+        for s in superkeys:
+            if s != full:
+                check(s)
+        assert ch.proper_closed is None
+        check(full)
+        assert ch.proper_closed is not None
+        for s in superkeys:
+            check(s)
 
 
 # Structure queries at n <= 10: both strategies, since only the shared

@@ -18,6 +18,8 @@ from conclose import (
     parse_instance,
     solve,
 )
+from conclose import solver as solver_module
+from conclose.closure import _chainer
 from conclose.core import SubsetIndex
 from oracles import as_label_sets, naive_solve
 
@@ -155,21 +157,35 @@ def test_empty_key_base_has_no_co_atoms_and_no_solutions():
 
 
 def test_keys_reach_the_dualizer_without_a_second_subset_index(monkeypatch):
-    # Key saturation builds the one index and looks its rewrites up in
-    # it; the dualizer takes the 2^10 + 1 keys as they are, with no
-    # antichain pass and so no index of its own.
-    calls = {"init": 0, "query": 0}
+    # Key saturation builds the one key index and looks its rewrites up
+    # in it; the dualizer takes the 2^10 + 1 keys as they are, with no
+    # antichain pass and so no index of its own. The certificate index
+    # of the key minimizations, kept on the compiled engine of the
+    # augmented base, is counted apart.
+    made, queried, bases = [], [], []
     init, query = SubsetIndex.__init__, SubsetIndex.has_subset_of
 
     def counted_init(self, *args, **kwargs):
-        calls["init"] += 1
+        made.append(self)
         init(self, *args, **kwargs)
 
     def counted_query(self, mask):
-        calls["query"] += 1
+        queried.append(self)
         return query(self, mask)
+
+    def captured_keys(base, *args, **kwargs):
+        bases.append(base)
+        return enumerate_keys(base, *args, **kwargs)
 
     monkeypatch.setattr(SubsetIndex, "__init__", counted_init)
     monkeypatch.setattr(SubsetIndex, "has_subset_of", counted_query)
+    monkeypatch.setattr(solver_module, "enumerate_keys", captured_keys)
     solve(*gen_exponential(10))
+    (augmented,) = bases
+    certificate = _chainer(augmented).proper_closed
+    assert certificate in made
+    calls = {
+        "init": sum(ix is not certificate for ix in made),
+        "query": sum(ix is not certificate for ix in queried),
+    }
     assert calls == {"init": 1, "query": 1025}
