@@ -175,12 +175,25 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with only the subparser of ``command`` when it names one.
+
+    Building every subparser costs several times one, so a run builds
+    just its own; --help, no command and an unknown one get them all.
+    With one subparser the command metavar is spelt out, so a usage line
+    still lists every command (argparse names the argument by that
+    metavar only in the errors that a known command cannot raise).
+    """
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     parser = _Parser(
         prog="conclose",
         description="Enumerate maximal conflict-free closed sets of implicational bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None,
+    )
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
@@ -189,42 +202,53 @@ def _build_parser() -> argparse.ArgumentParser:
     caps.add_argument("--cap-keys", type=_count, default=KEY_CAP, help="key enumeration cap")
     caps.add_argument("--cap-mis", type=_count, default=MIS_CAP, help="independent-set cap")
 
-    p = sub.add_parser("solve", parents=[fmt, caps], help="enumerate all solutions")
-    p.add_argument("instance")
-    p = sub.add_parser(
-        "oracle", parents=[fmt, caps], help="brute-force solutions plus agreement verdict"
-    )
-    p.add_argument("instance")
-    p = sub.add_parser(
-        "keys",
-        parents=[fmt, caps],
-        help="minimal keys of the augmented base (of the base itself when no edges)",
-    )
-    p.add_argument("instance")
-    p = sub.add_parser("closure", parents=[fmt], help="closure of one set")
-    p.add_argument("instance")
-    p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
-    p = sub.add_parser("coatoms", parents=[fmt, caps], help="maximal proper closed sets")
-    p.add_argument("instance")
-    p = sub.add_parser("analyze", parents=[fmt], help="structural check report")
-    p.add_argument("instance")
+    if "solve" in names:
+        p = sub.add_parser("solve", parents=[fmt, caps], help="enumerate all solutions")
+        p.add_argument("instance")
+    if "oracle" in names:
+        p = sub.add_parser(
+            "oracle", parents=[fmt, caps], help="brute-force solutions plus agreement verdict"
+        )
+        p.add_argument("instance")
+    if "keys" in names:
+        p = sub.add_parser(
+            "keys",
+            parents=[fmt, caps],
+            help="minimal keys of the augmented base (of the base itself when no edges)",
+        )
+        p.add_argument("instance")
+    if "closure" in names:
+        p = sub.add_parser("closure", parents=[fmt], help="closure of one set")
+        p.add_argument("instance")
+        p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
+    if "coatoms" in names:
+        p = sub.add_parser("coatoms", parents=[fmt, caps], help="maximal proper closed sets")
+        p.add_argument("instance")
+    if "analyze" in names:
+        p = sub.add_parser("analyze", parents=[fmt], help="structural check report")
+        p.add_argument("instance")
 
-    p = sub.add_parser("generate", help="write an instance in the text format")
-    p.add_argument("family", choices=("random", "exponential", "cnf", "fano", "gf2"))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--imps", type=int, default=10)
-    p.add_argument("--max-premise", type=int, default=3)
-    p.add_argument("--edges", type=int, default=3)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--cnf", dest="cnf_path", help="DIMACS-like positive 3-CNF input")
-    p.add_argument("--reduce", action="store_true", help="wrap a cnf base in the co-atom reduction")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
+    if "generate" in names:
+        p = sub.add_parser("generate", help="write an instance in the text format")
+        p.add_argument("family", choices=("random", "exponential", "cnf", "fano", "gf2"))
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--imps", type=int, default=10)
+        p.add_argument("--max-premise", type=int, default=3)
+        p.add_argument("--edges", type=int, default=3)
+        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--cnf", dest="cnf_path", help="DIMACS-like positive 3-CNF input")
+        p.add_argument(
+            "--reduce", action="store_true", help="wrap a cnf base in the co-atom reduction"
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("-o", "--output", help="write to a file instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except OutputLimitExceeded as exc:

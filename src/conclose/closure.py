@@ -9,7 +9,9 @@ counters: each closed set grows from a closed parent by one element and
 counts down only what that element triggers; the early stop on the full
 set is safe there, since the full set has no children. It returns a
 plain tuple in lectic order, and refuses ground sets above
-EXHAUSTIVE_LIMIT; it is a desk-scale tool, not bulk machinery. Minimal
+EXHAUSTIVE_LIMIT; it is a desk-scale tool, not bulk machinery. Given
+conflict pairs, the same walk prunes every closed set that holds one,
+which lists the consistent closed sets for the solve oracle. Minimal
 generators and meet-irreducibles are key queries and live with the keys
 (keys.py) and co-atoms (solver.py); the engine cached on each base also
 keeps their per-element key saturations.
@@ -123,28 +125,53 @@ def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
     return close(base, subset).mask == subset.mask
 
 
-def _closed_masks(base: ImplicationalBase) -> list[int]:
-    """The masks of enumerate_closed_sets(base), in lectic order."""
+def _closed_masks(
+    base: ImplicationalBase, conflicts: tuple[tuple[int, int], ...] = ()
+) -> list[int]:
+    """The masks of the closed sets holding no pair of ``conflicts``, in lectic order.
+
+    With no conflicts this is enumerate_closed_sets(base). A subset of a
+    consistent set is consistent, and a closed set's canonical parent is
+    a subset of it, so every consistent closed set has only consistent
+    ancestors in the Close-by-One tree: the walk drops a closed set that
+    holds a conflict pair together with its whole subtree, and never
+    closes ``cur | bit`` when ``bit`` conflicts with an element of
+    ``cur``. The conflict test runs once per closed set taken off the
+    stack, not per child, and is skipped when there are no conflicts.
+    """
     n = base.ground.n
     _refuse_past_exhaustive_limit(n)
     ch = _chainer(base)
     full = ch.full
+    partners = [0] * n  # partners[i]: the elements in conflict with i
+    ends = 0  # the elements in some conflict
+    for u, v in conflicts:
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+        ends |= 1 << u | 1 << v
     counts = ch.premise_sizes.copy()
     root = ch.grow(ch.base_fire, counts, ch.base_fire)
-    out = [root]
+    out = []
     # Each entry holds a closed set, its counters and the lowest bit a
     # child may add; ``-low`` masks that bit and every bit above it.
     stack = [(root, counts, 1)]
     while stack:
         cur, counts, low = stack.pop()
         free = full & ~cur & -low
+        if ends:
+            blocked = 0
+            for i in iter_bits(cur & ends):
+                blocked |= partners[i]
+            if cur & blocked:
+                continue
+            free &= ~blocked
+        out.append(cur)
         while free:
             bit = free & -free
             free ^= bit
             child_counts = counts.copy()
             child = ch.grow(cur | bit, child_counts, bit)
             if (child ^ cur) & (bit - 1) == 0:
-                out.append(child)
                 stack.append((child, child_counts, bit << 1))
     out.sort()
     return out

@@ -209,10 +209,10 @@ def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     ch = _chainer(base)
     full = g.full_mask
     found: list[int] = []
+    index = SubsetIndex(n)
     for mask in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
-        if any(k & ~mask == 0 for k in found):
-            continue
-        if ch.close(mask) == full:
+        if not index.has_subset_of(mask) and ch.close(mask) == full:
+            index.add(mask)
             found.append(mask)
     found.sort()
     return tuple(ElemSet(g, m) for m in found)

@@ -13,8 +13,8 @@ missing x. Each of the three hands its lectic key tuple straight to
 transversal.maximal_independent_sets as the edge list, with no
 antichain pass between. The empty set is a key exactly when close(∅)
 is the full set; it is then the one edge, and no set avoids it, so no
-special case is needed. A subset-scan oracle over the closed-set family
-is provided for cross-checking at desk scale.
+special case is needed. A brute-force oracle over the consistent closed
+sets is provided for cross-checking at desk scale.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from .core import (
     ElemSet,
     GroundSet,
     ImplicationalBase,
+    SubsetIndex,
     _Frozen,
     format_sets,
+    iter_bits,
 )
 from .errors import MismatchedGroundSets
 from .keys import _element_keys, augment_with_inconsistency, enumerate_keys
@@ -145,24 +147,28 @@ def solve(
 
 
 def brute_force_solve(base: ImplicationalBase, graph: ConsistencyGraph) -> SolutionSet:
-    """Oracle: filter the closed-set family and keep the maximal survivors.
+    """Oracle: list the consistent closed sets and keep the maximal ones.
 
-    Runs in time proportional to the whole family; the closed-set
-    enumeration refuses ground sets above EXHAUSTIVE_LIMIT.
+    It shares no step with solve beyond the closure engine. Close-by-One
+    walks only the consistent closed sets (a closed set's canonical
+    parent lies inside it, so no consistent set hides under an
+    inconsistent one); the maximal ones are then kept largest first, one
+    SubsetIndex query each over the complements of the sets kept so far.
+    Runs in time proportional to the consistent part of the family and
+    refuses ground sets above EXHAUSTIVE_LIMIT.
     """
     _require_shared_ground(base, graph)
     g = base.ground
     t0 = time.perf_counter()
-    edge_masks = graph.edge_masks
-    consistent = [
-        m for m in _closed_masks(base)
-        if not any(em & ~m == 0 for em in edge_masks)
-    ]
+    full = g.full_mask
     # Largest first: a set that is not maximal lies in a strictly larger
-    # maximal one, which has already been kept when the set comes up.
+    # maximal one, which has already been kept when the set comes up. A
+    # set lies inside a kept one iff its complement holds the kept one's.
+    kept = SubsetIndex(g.n)
     maximal: list[int] = []
-    for m in sorted(consistent, key=int.bit_count, reverse=True):
-        if not any(m & ~o == 0 for o in maximal):
+    for m in sorted(_closed_masks(base, graph.edges), key=int.bit_count, reverse=True):
+        if not kept.has_subset_of(full & ~m):
+            kept.add(full & ~m)
             maximal.append(m)
     t1 = time.perf_counter()
     maximal.sort()
@@ -177,7 +183,8 @@ def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: Ele
     """Membership test: closed, consistent, and maximally so.
 
     Maximality means every proper extension closes into a set that
-    contains a conflict edge.
+    contains a conflict edge. Each conflict test is one query to a
+    SubsetIndex over the edge masks.
     """
     _require_shared_ground(base, graph)
     if candidate.ground != base.ground:
@@ -186,14 +193,7 @@ def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: Ele
     m = candidate.mask
     if ch.close(m) != m:
         return False
-    edge_masks = graph.edge_masks
-    if any(em & ~m == 0 for em in edge_masks):
+    edges = SubsetIndex(base.ground.n, graph.edge_masks)
+    if edges.has_subset_of(m):
         return False
-    for i in range(base.ground.n):
-        bit = 1 << i
-        if m & bit:
-            continue
-        grown = ch.close(m | bit)
-        if not any(em & ~grown == 0 for em in edge_masks):
-            return False
-    return True
+    return all(edges.has_subset_of(ch.close(m | 1 << i)) for i in iter_bits(ch.full & ~m))

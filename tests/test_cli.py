@@ -146,6 +146,95 @@ def test_usage_errors_exit_one(capsys, demo_file, argv):
     assert "error:" in capsys.readouterr().err
 
 
+TOP_USAGE = "usage: conclose [-h] {solve,oracle,keys,closure,coatoms,analyze,generate} ...\n"
+TOP_HELP = TOP_USAGE + """
+Enumerate maximal conflict-free closed sets of implicational bases.
+
+positional arguments:
+  {solve,oracle,keys,closure,coatoms,analyze,generate}
+    solve               enumerate all solutions
+    oracle              brute-force solutions plus agreement verdict
+    keys                minimal keys of the augmented base (of the base itself
+                        when no edges)
+    closure             closure of one set
+    coatoms             maximal proper closed sets
+    analyze             structural check report
+    generate            write an instance in the text format
+
+options:
+  -h, --help            show this help message and exit
+"""
+SOLVE_USAGE = """\
+usage: conclose solve [-h] [--format {text,json}] [--cap-keys CAP_KEYS]
+                      [--cap-mis CAP_MIS]
+                      instance
+"""
+SOLVE_HELP = SOLVE_USAGE + """
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --cap-keys CAP_KEYS   key enumeration cap
+  --cap-mis CAP_MIS     independent-set cap
+"""
+CHOICES = "'solve', 'oracle', 'keys', 'closure', 'coatoms', 'analyze', 'generate'"
+INVALID = "argument command: invalid choice: {!r} (choose from " + CHOICES + ")"
+MISSING = "the following arguments are required: command"
+NOT_INT = "argument --cap-{}: expected a non-negative integer, got {!r}"
+EXTRA = "unrecognized arguments: --limit-ground FILE"
+
+
+def top_error(message):
+    return TOP_USAGE + f"conclose: error: {message}\n"
+
+
+def solve_error(message):
+    return SOLVE_USAGE + f"conclose solve: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, TOP_HELP, ""),
+        (["solve", "--help"], 0, SOLVE_HELP, ""),
+        ([], 1, "", top_error(MISSING)),
+        (["bogus"], 1, "", top_error(INVALID.format("bogus"))),
+        (["--bogus"], 1, "", top_error(MISSING)),
+        (["solve", "--cap-keys", "x", "FILE"], 1, "", solve_error(NOT_INT.format("keys", "x"))),
+        (["solve", "--cap-keys", "-1", "FILE"], 1, "", solve_error(NOT_INT.format("keys", "-1"))),
+        (["solve", "--cap-mis", "-1", "FILE"], 1, "", solve_error(NOT_INT.format("mis", "-1"))),
+        (["oracle", "--limit-ground", "20", "FILE"], 1, "", top_error(EXTRA)),
+        (["analyze", "--limit-ground", "20", "FILE"], 1, "", top_error(EXTRA)),
+        (["bench"], 1, "", top_error(INVALID.format("bench"))),
+    ],
+)
+def test_usage_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    # A run builds only the subparser its command names; help, usage
+    # lines and errors read as if every subparser were built.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch, demo_file):
+    import argparse
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(action, name, **kwargs):
+        built.append(name)
+        return add_parser(action, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run_cli(capsys, "closure", demo_file, "--set", "1,3") == (0, "1 2 3\n", "")
+    assert built == ["closure"]
+
+
 def test_exhaustive_commands_refuse_past_the_limit(capsys, tmp_path):
     p = tmp_path / "wide.txt"
     p.write_text("elements: " + " ".join(f"e{i}" for i in range(21)) + "\nedge: e0 e1\n")

@@ -1,6 +1,7 @@
 """Hypothesis property tests: the packed subset index against the naive
 scan it replaces, the compiled closure against a plain fixpoint, the key
-and solve pipelines against their brute-force twins on random bases, key
+and solve pipelines against their brute-force twins on random bases, the
+solve oracle against the naive closed-set family, key
 minimization with and without its certificate against a greedy oracle, the
 co-atoms against the closed-set family, the dualizer against a subset
 scan, the closed-set family and the structure queries (minimal
@@ -31,6 +32,7 @@ from conclose import (
     enumerate_keys,
     format_instance,
     gen_exponential,
+    is_solution,
     maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
@@ -46,7 +48,10 @@ from conclose.keys import _minimize_mask
 from oracles import (
     greedy_minimize,
     labelset,
+    maximal_only,
+    naive_consistent,
     naive_distributive,
+    naive_family,
     naive_independent,
     naive_is_closed,
     naive_meet_irreducibles,
@@ -151,6 +156,29 @@ def test_enumerate_keys_matches_brute_force(instance):
 def test_solve_matches_brute_force(instance):
     base, graph = instance
     assert solve(base, graph).sets == brute_force_solve(base, graph).sets
+
+
+@PIPELINE
+@example(EVERYTHING)
+@example(parse_instance("elements: a b c\nimp: -> a b\nedge: a b\n"))  # cl(∅) holds the edge
+@example(parse_instance("elements: a b c d\nimp: c -> a b\nedge: a b\n"))  # c forces both ends
+@example(parse_instance("elements: a b c\nimp: a -> b\n"))  # no edge: the full set
+@given(instances(max_n=10))
+def test_brute_force_solve_matches_maximal_consistent_closed_sets(instance):
+    # The oracle prunes its closed-set walk at the first edge and keeps
+    # maximal sets through a SubsetIndex; check it, and the membership
+    # test on every closed set, against the naive family filtered by the
+    # definition.
+    base, graph = instance
+    g = base.ground
+    family = naive_family(base)
+    consistent = [s for s in family if naive_consistent(graph, s)]
+    expected = sorted(g.set_of(*s).mask for s in maximal_only(consistent))
+    assert [s.mask for s in brute_force_solve(base, graph)] == expected
+    members = set(expected)
+    for s in family:
+        candidate = g.set_of(*s)
+        assert is_solution(base, graph, candidate) == (candidate.mask in members)
 
 
 @PIPELINE
