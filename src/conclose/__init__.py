@@ -53,7 +53,7 @@ _EXPORTS = {
         "meet_irreducibles", "solve",
     ),
     "transversal": (
-        "is_independent", "maximal_independent_sets", "minimal_transversals",
+        "maximal_independent_sets",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,14 +28,20 @@ def _emit(
     payload: Callable[[], dict],
     text_lines: Callable[[], Iterable[str]],
 ) -> None:
-    """Print the chosen format; only the chosen one of the two is built."""
+    """Write the chosen format; only the chosen one of the two is built.
+
+    The output goes out in one write: unbuffered, as under
+    PYTHONUNBUFFERED=1, each print would cost two write calls, one for
+    the line and one for its newline.
+    """
     if args.format == "json":
         import json
 
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     else:
-        for line in text_lines():
-            print(line)
+        # The empty last item ends every line, and no lines write nothing.
+        text = "\n".join([*text_lines(), ""])
+    sys.stdout.write(text)
 
 
 def _labels(sets) -> list[list[str]]:

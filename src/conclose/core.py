@@ -24,6 +24,7 @@ anywhere on a line.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -184,6 +185,9 @@ class GroundSet:
         return ElemSet(self, mask)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 class ElemSet:
     """An immutable subset of a GroundSet, stored as a bit mask.
 
@@ -204,8 +208,9 @@ class ElemSet:
         return tuple(iter_bits(self.mask))
 
     def labels(self) -> tuple[str, ...]:
-        g = self.ground.labels
-        return tuple(g[i] for i in iter_bits(self.mask))
+        # The mask's binary digits, lowest first, as bytes 0 and 1 pick
+        # the labels in one C-level pass.
+        return tuple(compress(self.ground.labels, bin(self.mask)[:1:-1].encode().translate(_BITS)))
 
     def to_text(self) -> str:
         """Space-separated labels in ground-set order; empty string for the empty set."""

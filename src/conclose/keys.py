@@ -45,8 +45,8 @@ base and is kept beside the compiled closure engine, so minimal
 generators, the Carathéodory number and the meet-irreducibles share it.
 
 Every enumeration returns a plain tuple of ElemSet in lectic order. The
-minimal keys are a duplicate-free antichain, and the tuple goes as it is
-to transversal.maximal_independent_sets as its edge list.
+minimal keys are a duplicate-free antichain, and their masks go as they
+are to transversal.maximal_independent_sets as its edge list.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ def _minimize_mask(ch, full: int, mask: int) -> int:
     # cannot close to full, so its element stays without a closure.
     proper = ch.proper_closed
     certificate = SubsetIndex(ch.n) if proper is None and mask == full else None
-    for i in reversed(range(full.bit_length())):
-        bit = 1 << i
-        if not mask & bit:
-            continue
+    todo = mask  # the set bits not yet tried, highest taken first
+    while todo:
+        bit = 1 << (todo.bit_length() - 1)
+        todo ^= bit
         rest = mask ^ bit
         if proper is not None and proper.has_subset_of(full ^ rest):
             continue

@@ -9,11 +9,12 @@ per conflict edge that forces the full set; the maximal consistent
 closed sets are then the co-atoms of the augmented base.
 meet_irreducibles() adds the rule ``{x} -> everything`` for one element
 x at a time; the co-atoms are then the closed sets maximal among those
-missing x. Each of the three hands its lectic key tuple straight to
-transversal.maximal_independent_sets as the edge list, with no
-antichain pass between. The empty set is a key exactly when close(∅)
-is the full set; it is then the one edge, and no set avoids it, so no
-special case is needed. A brute-force oracle over the consistent closed
+missing x. Each of the three hands the masks of its lectic key tuple
+straight to transversal.maximal_independent_sets as the edge list, with
+no antichain pass between, and wraps the masks it gets back in ElemSet
+once. The empty set is a key exactly when close(∅) is the full set; it
+is then the one edge, and no set avoids it, so no special case is
+needed. A brute-force oracle over the consistent closed
 sets is provided for cross-checking at desk scale.
 """
 
@@ -91,8 +92,10 @@ def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS
     These are the maximal sets containing no minimal key of ``base``.
     Either phase may raise OutputLimitExceeded.
     """
+    g = base.ground
     keys = enumerate_keys(base, cap=key_cap)
-    return maximal_independent_sets(base.ground, keys, cap=mis_cap)
+    masks = maximal_independent_sets(g.n, [k.mask for k in keys], cap=mis_cap)
+    return [ElemSet(g, m) for m in masks]
 
 
 def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
@@ -108,9 +111,9 @@ def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
     ch = _chainer(base)
     cover: dict[int, int] = {}
     for x in range(g.n):
-        for m in maximal_independent_sets(g, _element_keys(base, x)):
-            if m.mask not in cover:
-                cover[m.mask] = ch.close(m.mask | 1 << x)
+        for m in maximal_independent_sets(g.n, [k.mask for k in _element_keys(base, x)]):
+            if m not in cover:
+                cover[m] = ch.close(m | 1 << x)
     return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
 
 
@@ -139,7 +142,8 @@ def solve(
     augmented = augment_with_inconsistency(base, graph)
     keys = enumerate_keys(augmented, cap=key_cap)
     t1 = time.perf_counter()
-    sets = tuple(maximal_independent_sets(g, keys, cap=mis_cap))
+    masks = maximal_independent_sets(g.n, [k.mask for k in keys], cap=mis_cap)
+    sets = tuple(ElemSet(g, m) for m in masks)
     t2 = time.perf_counter()
 
     stats = SolveStats(key_count=len(keys), seconds={"keys": t1 - t0, "mis": t2 - t1})

@@ -132,6 +132,12 @@ def naive_mis(ground_labels, edge_label_sets):
     return set(maximal_only(indep))
 
 
+def naive_mis_masks(n, edge_masks):
+    """naive_mis over the ground 0..n-1, with sets as bit masks, sorted."""
+    edges = [{i for i in range(n) if e >> i & 1} for e in edge_masks]
+    return sorted(sum(1 << i for i in s) for s in naive_mis(range(n), edges))
+
+
 def naive_transversals(ground_labels, edge_label_sets):
     edges = [frozenset(e) for e in edge_label_sets]
     hitting = [s for s in subsets(ground_labels) if all(s & e for e in edges)]

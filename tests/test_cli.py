@@ -1,14 +1,17 @@
 """Command-line behavior: golden text output, JSON parity, exit codes,
 and file round trips through the generate command."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conclose.__main__ import run
 from conclose.cli import main
 from conclose.core import format_instance, load_instance, validate_instance
 from conclose.generators import gen_random
@@ -73,6 +76,39 @@ def test_solve_loads_only_the_solve_path(demo_file):
     loaded = _imported("-m", "conclose", "solve", demo_file) - _imported("-c", "pass")
     assert {"conclose.cli", "conclose.keys", "conclose.solver"} <= loaded
     assert not loaded & {"conclose.analysis", "conclose.generators", "dataclasses", "json"}
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    # ``python -m conclose`` as a fresh, unbuffered process.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    return subprocess.run(
+        [sys.executable, "-m", "conclose", *args], env=env, capture_output=True, timeout=60
+    )
+
+
+def test_module_entry_prints_what_main_prints(capsys, demo_file, tmp_path):
+    # The process entry freezes the collector and writes the answer in
+    # one go; its bytes and exit codes are those of cli.main in-process.
+    many = tmp_path / "random.txt"
+    many.write_text(format_instance(*gen_random(30, 40, 3, 12, 5)))
+    for path in (demo_file, str(many)):
+        proc = _run_module("solve", path)
+        code, out, err = run_cli(capsys, "solve", path)
+        assert (proc.returncode, code) == (0, 0)
+        assert proc.stdout == out.encode() and proc.stdout.count(b"\n") > 2
+        assert proc.stderr == err.encode()
+    assert _run_module("solve", "/nonexistent/path.txt").returncode == 1
+    assert _run_module("solve", "--cap-keys", "2", demo_file).returncode == 2
+
+
+def test_console_script_starts_at_the_process_entry():
+    # The installed ``conclose`` script must freeze the collector as
+    # ``python -m conclose`` does, so both name conclose.__main__.run.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^conclose = "(.+)"$', pyproject, re.M)
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is run
 
 
 def test_solve_no_edges_returns_everything(capsys, tmp_path):

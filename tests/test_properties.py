@@ -36,7 +36,6 @@ from conclose import (
     maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
-    minimal_transversals,
     minimize_superkey,
     parse_instance,
     solve,
@@ -45,6 +44,7 @@ from conclose.closure import _chainer
 from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
 from conclose.keys import _minimize_mask
+from conclose.transversal import _minimal_transversals
 from oracles import (
     greedy_minimize,
     labelset,
@@ -55,6 +55,7 @@ from oracles import (
     naive_independent,
     naive_is_closed,
     naive_meet_irreducibles,
+    naive_mis_masks,
     naive_modular,
 )
 
@@ -226,9 +227,7 @@ def key_edges(instance):
 @given(st.one_of(edge_lists(), instances(max_n=10).map(key_edges)), st.integers(0, 1 << 10))
 def test_dualization_matches_subset_scan(hypergraph, pick):
     n, edges = hypergraph
-    g = GroundSet(str(i) for i in range(n))
     # Nested, repeated and empty edges go to the dualizer as drawn.
-    sets = [ElemSet(g, e) for e in edges]
     bits = [1 << v for v in range(n)]
 
     # Hitting every edge is upward closed: a transversal is minimal iff
@@ -244,15 +243,27 @@ def test_dualization_matches_subset_scan(hypergraph, pick):
         return not any(e & ~s == 0 for e in edges)
 
     mis = [s for s in range(1 << n) if free(s) and not any(free(s | b) for b in bits if not s & b)]
-    assert [t.mask for t in minimal_transversals(g, sets)] == trans
-    assert [s.mask for s in maximal_independent_sets(g, sets)] == mis
+    assert sorted(_minimal_transversals(n, edges, len(trans))) == trans
+    assert maximal_independent_sets(n, edges) == mis
     if trans:
         # The cap counts finished transversals of the whole hypergraph.
         cap = pick % len(trans)
         with pytest.raises(OutputLimitExceeded) as err:
-            minimal_transversals(g, sets, cap=cap)
-        partial = [t.mask for t in err.value.partial]
-        assert len(partial) == cap + 1 and set(partial) <= set(trans)
+            maximal_independent_sets(n, edges, cap=cap)
+        partial = err.value.partial
+        assert len(partial) == cap + 1 and set(partial) <= set(mis)
+
+
+@PROPERTY
+@example((4, [0]))  # an empty edge: nothing hits it
+@example((4, [0b0001, 0b0100]))  # only singleton edges
+@example((4, [0b0010, 0b0110, 0b1100]))  # a singleton nested in a larger edge
+@example((4, [0b0011, 0b0011, 0b1000, 0b1000]))  # repeated edges
+@example((4, []))  # no edges: the full set is the one answer
+@given(st.one_of(edge_lists(), instances(max_n=10).map(key_edges)))
+def test_mask_dualizer_matches_mis_oracle(hypergraph):
+    n, edges = hypergraph
+    assert maximal_independent_sets(n, edges) == naive_mis_masks(n, edges)
 
 
 @st.composite
