@@ -4,12 +4,14 @@ For a poset, the sets closed under "anything between two members is a
 member" form a closure system whose rules all have two-element
 premises, so no element ever needs more than two others to be forced.
 The script builds a chain, a fence, and a batch of random posets,
-verifies the size-two cap on minimal generators, and solves one
-instance with conflict edges added on top.
+verifies the size-two cap on minimal generators, checks the
+logarithmic bound with its hypotheses on a 40-element random poset, and
+solves one instance with conflict edges added on top.
 """
 
 import random
 
+from conclose.analysis import verify_log_bound
 from conclose.keys import caratheodory_number
 from conclose.core import ConsistencyGraph
 from conclose.generators import Poset, gen_poset_convexity, gen_random_poset
@@ -32,6 +34,13 @@ def main():
         worst = max(worst, caratheodory_number(gen_poset_convexity(poset)))
     print(f"\n40 random posets up to 8 elements:"
           f" largest minimal generator seen = {worst} (cap is 2)")
+
+    # Atomistic, biatomic, every minimal generator independent: the
+    # hypotheses hold, so the bound is checked, past the 20 elements
+    # where the exhaustive checks stop.
+    big = gen_poset_convexity(gen_random_poset(40, 1))
+    print(f"\nrandom 40-element poset, {len(big.implications)} betweenness rules:"
+          f" logarithmic bound holds = {verify_log_bound(big)}")
 
     base = gen_poset_convexity(chain)
     graph = ConsistencyGraph.from_labels(base.ground, [("a", "e"), ("b", "d")])

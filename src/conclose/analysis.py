@@ -1,13 +1,13 @@
 """Structural checks on the closure system of an implicational base.
 
-Biatomicity and modularity are evaluated exhaustively over the
-closed-set family, so they are desk scale: enumerate_closed_sets refuses
-ground sets above EXHAUSTIVE_LIMIT. Modularity reads only the cover
-graph of the family, and biatomicity every pair of closed sets.
-Independence closes every subset of a given set once and refuses sets
-above the same limit. The other checks need no family: distributivity
-is read off the rules, and minimal generators and meet-irreducibles
-(hence the arrow relations and the dependency digraph) are key queries.
+Only modularity is evaluated over the closed-set family, so it is desk
+scale: enumerate_closed_sets refuses ground sets above EXHAUSTIVE_LIMIT,
+and modularity reads the cover graph of the family. Independence closes
+every subset of a given set once and refuses sets above the same limit.
+The other checks need no family: distributivity is read off the rules,
+biatomicity off the splits of minimal generators, and minimal generators
+and meet-irreducibles (hence the arrow relations and the dependency
+digraph) are key queries.
 Each failed check carries a concrete witness: the sets or elements
 violating the definition, plus a rendered explanation.
 """
@@ -15,6 +15,7 @@ violating the definition, plus a rendered explanation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from typing import Any
 
@@ -28,7 +29,7 @@ from .core import (
     iter_submasks,
 )
 from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard
-from .keys import caratheodory_number, minimal_generators
+from .keys import _element_keys, caratheodory_number, minimal_generators
 from .solver import meet_irreducibles
 
 
@@ -92,36 +93,41 @@ def check_biatomic(base: ImplicationalBase) -> CheckResult:
     the check also makes sense for non-standard and non-atomistic
     inputs, where atoms need not be singletons. Atoms already inside
     one of the two closed sets witness themselves.
+
+    Closed sets are not enumerated. If atom p = cl({x}) lies below
+    cl(f1 ∪ f2) but inside neither, a minimal generator A of x lies
+    inside f1 ∪ f2, and (cl(A ∩ f1), cl(A ∖ f1)) fails too: it lies below
+    (f1, f2) and p below its join. No proper part of A reaches x, so each
+    split of A into two non-empty parts is tested, once, the part
+    holding A's lowest element first.
     """
-    fam_masks = _closed_masks(base)
     ch = _chainer(base)
     g = base.ground
-    atom_masks = _covers(ch, ch.close(0))
-    k = len(atom_masks)
-    pair_close = [[ch.close(atom_masks[i] | atom_masks[j]) for j in range(k)] for i in range(k)]
-    below = {f: [i for i in range(k) if atom_masks[i] & ~f == 0] for f in fam_masks}
-    union_close: dict[int, int] = {}
-    for f1 in fam_masks:
-        in1 = below[f1]
-        for f2 in fam_masks:
-            u = f1 | f2
-            j12 = union_close.get(u)
-            if j12 is None:
-                j12 = ch.close(u)
-                union_close[u] = j12
-            in2 = below[f2]
-            for a in range(k):
-                am = atom_masks[a]
-                if am & ~j12:
-                    continue
-                if am & ~f1 == 0 or am & ~f2 == 0:
-                    continue
-                if not any(am & ~pair_close[i][j] == 0 for i in in1 for j in in2):
+    bottom = ch.close(0)
+    atom_masks = _covers(ch, bottom)
+    pair_close = [[ch.close(a | b) for b in atom_masks] for a in atom_masks]
+    parts: dict[int, tuple[int, list[int]]] = {}  # a split part: its closure, the atoms below it
+
+    def part(s: int) -> tuple[int, list[int]]:
+        got = parts.get(s)
+        if got is None:
+            f = ch.close(s)
+            got = parts[s] = (f, [i for i, am in enumerate(atom_masks) if am & ~f == 0])
+        return got
+
+    for p in atom_masks:
+        for gen in _element_keys(base, next(iter_bits(p & ~bottom))):
+            for t in iter_submasks(gen.mask & (gen.mask - 1)):  # all but the lowest element
+                if not t:
+                    break
+                f1, in1 = part(gen.mask ^ t)
+                f2, in2 = part(t)
+                if not any(p & ~pair_close[i][j] == 0 for i in in1 for j in in2):
                     return CheckResult(
                         False,
-                        (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, am)),
+                        (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, p)),
                         "atom {!r} is below the join of {!r} and {!r} but below no atom-pair join".format(
-                            ElemSet(g, am), ElemSet(g, f1), ElemSet(g, f2)
+                            ElemSet(g, p), ElemSet(g, f1), ElemSet(g, f2)
                         ),
                     )
     return CheckResult(True)
@@ -377,32 +383,17 @@ def d_relation(base: ImplicationalBase) -> DRelation:
 
 
 def _find_cycle(rel: DRelation) -> tuple[int, ...] | None:
-    succ: dict[int, list[int]] = {}
+    # Arc x -> y makes x a predecessor of y. CycleError repeats the first
+    # node at the end; drop it and start the cycle at its smallest node.
+    sorter: TopologicalSorter[int] = TopologicalSorter()
     for x, y in sorted(rel.arcs):
-        succ.setdefault(x, []).append(y)
-    n = rel.ground.n
-    color = [0] * n
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, iter(succ.get(root, ())))]
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if color[nxt] == 1:
-                    at = path.index(nxt)
-                    return tuple(path[at:])
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    path.append(nxt)
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-                path.pop()
+        sorter.add(y, x)
+    try:
+        sorter.prepare()
+    except CycleError as err:
+        cycle = err.args[1][:-1]
+        at = cycle.index(min(cycle))
+        return tuple(cycle[at:] + cycle[:at])
     return None
 
 
@@ -412,7 +403,8 @@ def has_d_cycle(base: ImplicationalBase) -> tuple[bool, tuple[int, ...] | None]:
     Only arcs between distinct elements form cycles; self-composed
     arrow positions are reported on the relation but do not count.
     Returns the cycle as a tuple of element indices (x1, ..., xk)
-    with each related to the next and the last back to the first.
+    with each related to the next and the last back to the first, x1
+    the smallest.
     """
     cycle = _find_cycle(d_relation(base))
     return cycle is not None, cycle
@@ -447,15 +439,15 @@ def verify_log_bound(base: ImplicationalBase) -> bool:
 class AnalysisReport:
     """One-stop structural summary of a closure system.
 
-    Ternary fields are None when not applicable: lower_bounded needs a
-    standard system, log_bound_holds needs the atomistic, biatomic and
+    Two fields are None when they do not apply: lower_bounded needs a
+    standard system, and log_bound_holds the atomistic, biatomic and
     generator-independence hypotheses.
     """
 
     n_elements: int
     standard: bool
     atomistic: bool
-    biatomic: bool | None
+    biatomic: bool
     distributive: bool
     modular: bool
     lower_bounded: bool | None

@@ -297,6 +297,8 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         a, b = res.witness
         assert is_closed(base, a) and is_closed(base, b) and not is_closed(base, a | b)
     assert caratheodory_number(base) == 2
+    # Biatomicity reads generator splits, not the closed-set family.
+    assert verify_log_bound(base) is True
 
 
 @pytest.mark.parametrize(
@@ -305,9 +307,7 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         enumerate_closed_sets,
         brute_force_keys,
         lambda base: brute_force_solve(base, ConsistencyGraph(base.ground, [])),
-        check_biatomic,
         check_modular,
-        verify_log_bound,
         analyze,
         lambda base: check_independent(base, base.ground.full()),
     ],
@@ -315,9 +315,7 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         "enumerate_closed_sets",
         "brute_force_keys",
         "brute_force_solve",
-        "check_biatomic",
         "check_modular",
-        "verify_log_bound",
         "analyze",
         "check_independent",
     ],
@@ -325,7 +323,7 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
 def test_exhaustive_checks_refuse_past_the_limit(check):
     # Each check reaches the closed-set enumeration, or the subset scan of
     # check_independent, before any exponential work, and both refuse
-    # before their first set.
+    # before their first set. analyze refuses through check_modular.
     n = EXHAUSTIVE_LIMIT + 1
     base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
     with pytest.raises(GroundSetTooLarge, match=f"{n} elements exceeds the exhaustive limit of 20"):
@@ -336,11 +334,16 @@ def test_structure_checks_past_the_old_bounds():
     # Modularity reads the cover graph and independence closes each
     # subset once, so both stay quick on rule-free bases, where every
     # subset is closed: 4,096 closed sets at n = 12, and a 16-element set
-    # past the 15 that independence once refused.
+    # past the 15 that independence once refused. Biatomicity reads the
+    # generator splits, and a rule-free base has none, so it passes the
+    # exhaustive limit.
     free12 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(12)) + "\n")[0]
     assert check_modular(free12).ok
     free16 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(16)) + "\n")[0]
     assert check_independent(free16, free16.ground.full()).ok
+    n = EXHAUSTIVE_LIMIT + 1
+    free21 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
+    assert check_biatomic(free21).ok
 
 
 # ---------------------------------------------------------------------------

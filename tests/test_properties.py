@@ -6,8 +6,8 @@ minimization with and without its certificate against a greedy oracle, the
 co-atoms against the closed-set family, the dualizer against a subset
 scan, the closed-set family and the structure queries (minimal
 generators, meet-irreducibles, distributivity, modularity,
-independence) against their definitions, and the text format round
-trip."""
+independence, biatomicity, d-cycles) against their definitions, and the
+text format round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,15 +23,20 @@ from conclose import (
     brute_force_keys,
     brute_force_solve,
     caratheodory_number,
+    check_biatomic,
     check_distributive,
     check_independent,
     check_modular,
+    check_standard,
     close,
     co_atoms,
+    d_relation,
     enumerate_closed_sets,
     enumerate_keys,
     format_instance,
     gen_exponential,
+    gen_random,
+    has_d_cycle,
     is_solution,
     maximal_independent_sets,
     meet_irreducibles,
@@ -49,9 +54,14 @@ from oracles import (
     greedy_minimize,
     labelset,
     maximal_only,
+    naive_atoms,
+    naive_biatomic,
+    naive_close,
     naive_consistent,
+    naive_d_arcs,
     naive_distributive,
     naive_family,
+    naive_has_cycle,
     naive_independent,
     naive_is_closed,
     naive_meet_irreducibles,
@@ -472,6 +482,76 @@ def test_check_independent_matches_oracle(instance, pick):
         assert (y1 | y2) & ~subset.mask == 0
         meet = fixpoint_closure(base, y1) & fixpoint_closure(base, y2)
         assert fixpoint_closure(base, y1 & y2) != meet
+
+
+@st.composite
+def sparse_bases(draw, max_n=7):
+    """A gen_random base over 5 to ``max_n`` elements with n/2 to n rules.
+
+    Few rules leave a large closed-set family, so about half of these
+    bases are not biatomic and about a third are standard with a
+    d-cycle; the dense strategies above rarely give either. The rules
+    come from a drawn seed.
+    """
+    n = draw(st.integers(5, max_n))
+    return gen_random(n, draw(st.integers(n // 2, n)), 3, 0, draw(st.integers(0, 2**32 - 1)))
+
+
+# The biatomicity oracle joins every pair of closed sets, so n <= 7.
+# In the first base below, {a b c} is a minimal generator of u, and of
+# its splits only {a} with {b c} fails: cl({a c}) holds y and y b -> u,
+# cl({a b}) holds z and z c -> u. The second adds z to close(∅); the
+# third has the non-singleton atom {a b}, which c, d, e force only
+# together.
+@PIPELINE
+@example(EVERYTHING)
+@example(
+    parse_instance(
+        "elements: a b c y z u\nimp: a c -> y\nimp: y b -> u\nimp: a b -> z\nimp: z c -> u\n"
+    )
+)
+@example(parse_instance("elements: z a b c u\nimp: -> z\nimp: a b c -> u\n"))
+@example(parse_instance("elements: a b c d e\nimp: a -> b\nimp: b -> a\nimp: c d e -> a\n"))
+@given(st.one_of(instances(max_n=7), shared_premise_instances(max_n=7), sparse_bases()))
+def test_check_biatomic_matches_oracle(instance):
+    base, _ = instance
+    res = check_biatomic(base)
+    assert res.ok == naive_biatomic(base)
+    if not res.ok:
+        f1, f2, atom = (labelset(s) for s in res.witness)
+        assert naive_is_closed(base, f1) and naive_is_closed(base, f2)
+        atoms = naive_atoms(base)
+        assert atom in atoms
+        assert atom <= naive_close(base, f1 | f2)
+        assert not atom <= f1 and not atom <= f2
+        below1 = [a for a in atoms if a <= f1]
+        below2 = [a for a in atoms if a <= f2]
+        assert not any(atom <= naive_close(base, a1 | a2) for a1 in below1 for a2 in below2)
+
+
+MUTUAL = parse_instance("elements: x y z\nimp: x z -> y\nimp: y z -> x\n")
+
+
+@PIPELINE
+@example(MUTUAL)
+@given(
+    st.one_of(instances(max_n=7), sparse_bases()).filter(
+        lambda instance: check_standard(instance[0]).ok
+    )
+)
+def test_has_d_cycle_matches_oracle(instance):
+    base, _ = instance
+    g = base.ground
+    arcs = d_relation(base).arcs
+    naive_arcs = naive_d_arcs(base)
+    assert {(g.labels[x], g.labels[y]) for x, y in arcs} == naive_arcs
+    cyclic, cycle = has_d_cycle(base)
+    assert cyclic == naive_has_cycle(naive_arcs)
+    assert cyclic == (cycle is not None)
+    if cycle:
+        assert cycle[0] == min(cycle) and len(set(cycle)) == len(cycle)
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (x, y) in arcs
 
 
 # Non-empty, whitespace-free text, often near the format's own tokens;
