@@ -211,43 +211,59 @@ def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
     pairs of its subsets. Refuses sets above EXHAUSTIVE_LIMIT."""
     if subset.ground != base.ground:
         raise MismatchedGroundSets("set and base over different ground sets")
-    return _check_independent(base, subset, {})
+    return _check_independent(base, subset, None)
 
 
 def _check_independent(
-    base: ImplicationalBase, subset: ElemSet, cl: dict[int, int]
+    base: ImplicationalBase, subset: ElemSet, memo: dict[int, int] | None
 ) -> CheckResult:
-    """check_independent reading and filling the closure memo ``cl``.
+    """check_independent, reading and filling the closure memo when given one.
 
-    Closure commutes with intersection on all pairs of subsets of X iff,
-    for every proper Y ⊂ X and a the lowest element of X ∖ Y,
-    cl(Y) = cl(Y ∪ {a}) ∩ cl(X ∖ {a}): by induction from X down, these
-    make every cl(Y) the intersection of cl(X ∖ {b}) over b in X ∖ Y, and
-    that intersection commutes with intersection. So one closure per
-    subset and one comparison per proper subset decide it, and a failure
-    is the pair (X ∖ {a}, Y ∪ {a}), larger mask first.
+    Closure commutes with intersection on all pairs of subsets of X iff
+    every Y ⊆ X has cl(Y) = cl(X) ∩ ⋂ cl(X ∖ {b}) over b in X ∖ Y: Y is
+    the intersection of those X ∖ {b}, and the right-hand side commutes
+    with intersection. The subsets are walked depth first, each child
+    Y ∖ {b} taking b below every element missing from Y, so each is
+    reached once and its test is cl(Y ∖ {b}) = cl(Y) ∩ cl(X ∖ {b}) with
+    the parent Y passed. The walk holds one path and the siblings left
+    on it, not a closure per subset, and a failure is the pair
+    (X ∖ {b}, Y), larger mask first.
     """
     _refuse_past_exhaustive_limit(len(subset))
     ch = _chainer(base)
+    if memo is None:
+        close = ch.close
+    else:
+
+        def close(y: int) -> int:
+            c = memo.get(y)
+            if c is None:
+                c = memo[y] = ch.close(y)
+            return c
+
     g = base.ground
     m = subset.mask
-    for s in iter_submasks(m):
-        if s not in cl:
-            cl[s] = ch.close(s)
-    for a in iter_bits(m):
-        bit = 1 << a
-        low = m & (bit - 1)
-        co = m & ~bit
-        for s in iter_submasks(co & ~low):
-            y = low | s
-            if cl[y] != cl[y | bit] & cl[co]:
-                pair = tuple(ElemSet(g, x) for x in sorted((co, y | bit), reverse=True))
+    # co[b] is cl(X ∖ {b}). X's children are all tested before any deeper
+    # subset and fill it; their own test holds trivially, as
+    # cl(X ∖ {b}) lies inside cl(X).
+    co: dict[int, int] = {}
+    stack = [(m, close(m), m)]  # (Y, cl(Y), the elements Y's children may drop)
+    while stack:
+        y, cy, free = stack.pop()
+        while free:
+            bit = 1 << (free.bit_length() - 1)
+            free ^= bit
+            c = close(y ^ bit)
+            if c != cy & co.setdefault(bit, c):
+                pair = tuple(ElemSet(g, x) for x in sorted((m ^ bit, y), reverse=True))
                 return CheckResult(
                     False,
                     pair,
                     "closure of the intersection of {!r} and {!r} differs from the "
                     "intersection of closures".format(*pair),
                 )
+            if free:
+                stack.append((y ^ bit, c, free))
     return CheckResult(True)
 
 
@@ -283,14 +299,14 @@ def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
     # A generator shared by several elements is checked once, and the
     # closures of subsets shared between generators are computed once.
-    cl: dict[int, int] = {}
+    memo: dict[int, int] = {}
     checked: set[int] = set()
     for x in range(base.ground.n):
         for gen in minimal_generators(base, x):
             if gen.mask in checked:
                 continue
             checked.add(gen.mask)
-            res = _check_independent(base, gen, cl)
+            res = _check_independent(base, gen, memo)
             if not res.ok:
                 return CheckResult(
                     False,
@@ -364,22 +380,10 @@ class DRelation:
 
 def d_relation(base: ImplicationalBase) -> DRelation:
     ar = arrow_relations(base)
-    by_m_down: dict[int, list[int]] = {}
-    for x, idx in ar.down:
-        by_m_down.setdefault(idx, []).append(x)
-    by_m_up: dict[int, list[int]] = {}
-    for idx, y in ar.up:
-        by_m_up.setdefault(idx, []).append(y)
-    arcs = set()
-    loops = set()
-    for idx, xs in by_m_down.items():
-        for x in xs:
-            for y in by_m_up.get(idx, ()):
-                if x == y:
-                    loops.add(x)
-                else:
-                    arcs.add((x, y))
-    return DRelation(base.ground, frozenset(arcs), tuple(sorted(loops)))
+    n = base.ground.n
+    arcs = {(x, y) for x, idx in ar.down for y in range(n) if (idx, y) in ar.up and x != y}
+    loops = sorted({x for x, idx in ar.down if (idx, x) in ar.up})
+    return DRelation(base.ground, frozenset(arcs), tuple(loops))
 
 
 def _find_cycle(rel: DRelation) -> tuple[int, ...] | None:

@@ -144,10 +144,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             base, graph = gen.gen_reduction(base)
     elif family == "fano":
         base, graph = gen.gen_fano(), None
-    elif family == "gf2":
+    else:  # gf2; argparse has already refused any other family
         base, graph = gen.gen_projective_gf2(args.dim), None
-    else:
-        raise ClosureError(f"unknown family {family!r}")
     text = format_instance(base, graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -157,14 +155,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's handler, its help line, and whether it takes the output
+# caps. Every command but generate reads an instance and takes --format.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "keys": _cmd_keys,
-    "closure": _cmd_closure,
-    "coatoms": _cmd_coatoms,
-    "analyze": _cmd_analyze,
-    "generate": _cmd_generate,
+    "solve": (_cmd_solve, "enumerate all solutions", True),
+    "oracle": (_cmd_oracle, "brute-force solutions plus agreement verdict", True),
+    "keys": (
+        _cmd_keys,
+        "minimal keys of the augmented base (of the base itself when no edges)",
+        True,
+    ),
+    "closure": (_cmd_closure, "closure of one set", False),
+    "coatoms": (_cmd_coatoms, "maximal proper closed sets", True),
+    "analyze": (_cmd_analyze, "structural check report", False),
+    "generate": (_cmd_generate, "write an instance in the text format", False),
 }
 
 
@@ -200,54 +204,30 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None,
     )
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--cap-keys", type=_count, default=KEY_CAP, help="key enumeration cap")
-    caps.add_argument("--cap-mis", type=_count, default=MIS_CAP, help="independent-set cap")
-
-    if "solve" in names:
-        p = sub.add_parser("solve", parents=[fmt, caps], help="enumerate all solutions")
+    for name in names:
+        _, help_line, caps = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        if name == "generate":
+            p.add_argument("family", choices=("random", "exponential", "cnf", "fano", "gf2"))
+            p.add_argument("--n", type=int, default=3)
+            p.add_argument("--imps", type=int, default=10)
+            p.add_argument("--max-premise", type=int, default=3)
+            p.add_argument("--edges", type=int, default=3)
+            p.add_argument("--dim", type=int, default=2)
+            p.add_argument("--cnf", dest="cnf_path", help="DIMACS-like positive 3-CNF input")
+            p.add_argument(
+                "--reduce", action="store_true", help="wrap a cnf base in the co-atom reduction"
+            )
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("-o", "--output", help="write to a file instead of stdout")
+            continue
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if caps:
+            p.add_argument("--cap-keys", type=_count, default=KEY_CAP, help="key enumeration cap")
+            p.add_argument("--cap-mis", type=_count, default=MIS_CAP, help="independent-set cap")
         p.add_argument("instance")
-    if "oracle" in names:
-        p = sub.add_parser(
-            "oracle", parents=[fmt, caps], help="brute-force solutions plus agreement verdict"
-        )
-        p.add_argument("instance")
-    if "keys" in names:
-        p = sub.add_parser(
-            "keys",
-            parents=[fmt, caps],
-            help="minimal keys of the augmented base (of the base itself when no edges)",
-        )
-        p.add_argument("instance")
-    if "closure" in names:
-        p = sub.add_parser("closure", parents=[fmt], help="closure of one set")
-        p.add_argument("instance")
-        p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
-    if "coatoms" in names:
-        p = sub.add_parser("coatoms", parents=[fmt, caps], help="maximal proper closed sets")
-        p.add_argument("instance")
-    if "analyze" in names:
-        p = sub.add_parser("analyze", parents=[fmt], help="structural check report")
-        p.add_argument("instance")
-
-    if "generate" in names:
-        p = sub.add_parser("generate", help="write an instance in the text format")
-        p.add_argument("family", choices=("random", "exponential", "cnf", "fano", "gf2"))
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--imps", type=int, default=10)
-        p.add_argument("--max-premise", type=int, default=3)
-        p.add_argument("--edges", type=int, default=3)
-        p.add_argument("--dim", type=int, default=2)
-        p.add_argument("--cnf", dest="cnf_path", help="DIMACS-like positive 3-CNF input")
-        p.add_argument(
-            "--reduce", action="store_true", help="wrap a cnf base in the co-atom reduction"
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("-o", "--output", help="write to a file instead of stdout")
+        if name == "closure":
+            p.add_argument("--set", dest="set_arg", required=True, help="comma-separated labels")
     return parser
 
 
@@ -256,10 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except OutputLimitExceeded as exc:
-        found = len(exc.partial) if exc.partial is not None else "unknown"
-        print(f"incomplete: {exc} (partial results: {found})", file=sys.stderr)
+        print(f"incomplete: {exc} (partial results: {len(exc.partial)})", file=sys.stderr)
         return 2
     except (ClosureError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,9 +63,8 @@ class OutputLimitExceeded(ClosureError):
     as incomplete; it is never a valid final answer.
     """
 
-    def __init__(self, phase: str, cap: int, partial=None):
+    def __init__(self, phase: str, cap: int, partial: list):
         self.phase = phase
         self.cap = cap
         self.partial = partial
-        found = len(partial) if partial is not None else cap
-        super().__init__(f"{phase}: output cap of {cap} exceeded (at least {found} results)")
+        super().__init__(f"{phase}: output cap of {cap} exceeded (at least {len(partial)} results)")

@@ -15,12 +15,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .core import (
-    ConsistencyGraph,
-    GroundSet,
-    Implication,
-    ImplicationalBase,
-)
+from .core import ConsistencyGraph, GroundSet, ImplicationalBase
 from .errors import InvalidParams, ParseError
 
 
@@ -135,18 +130,17 @@ def gen_cnf_lower_bounded(cnf: CnfFormula) -> ImplicationalBase:
         + ["z"]
     )
     g = GroundSet(labels)
-    z = g.set_of("z")
-    rules: list[Implication] = []
+    z = 1 << (n + m)
+    rules = []
     for clause in cnf.clauses:
         for a, b in itertools.combinations(clause, 2):
-            rules.append(Implication(g.set_of(f"x{a}", f"x{b}"), z))
-    for j in range(1, m + 1):
-        rules.append(Implication(g.set_of(f"y{j}"), z))
-    for j, clause in enumerate(cnf.clauses, start=1):
-        yj = g.set_of(f"y{j}")
+            rules.append(((1 << (a - 1)) | (1 << (b - 1)), z))
+    for j in range(m):
+        rules.append((1 << (n + j), z))
+    for j, clause in enumerate(cnf.clauses):
         for a in clause:
-            rules.append(Implication(g.set_of(f"x{a}", "z"), yj))
-    return ImplicationalBase(g, rules)
+            rules.append(((1 << (a - 1)) | z, 1 << (n + j)))
+    return ImplicationalBase._from_rules(g, rules)
 
 
 def gen_exponential(n: int) -> tuple[ImplicationalBase, ConsistencyGraph]:
@@ -163,14 +157,11 @@ def gen_exponential(n: int) -> tuple[ImplicationalBase, ConsistencyGraph]:
         + ["u", "v"]
     )
     g = GroundSet(labels)
-    rules = [
-        Implication(g.set_of(f"x{i}"), g.set_of(f"y{i}")) for i in range(1, n + 1)
-    ]
-    rules.append(
-        Implication(g.set_of(*(f"y{i}" for i in range(1, n + 1))), g.set_of("u", "v"))
-    )
-    graph = ConsistencyGraph.from_labels(g, [("u", "v")])
-    return ImplicationalBase(g, rules), graph
+    # x_i is element i - 1, y_i element n + i - 1, u and v the last two.
+    rules = [(1 << i, 1 << (n + i)) for i in range(n)]
+    rules.append((((1 << n) - 1) << n, 0b11 << (2 * n)))
+    graph = ConsistencyGraph(g, [(2 * n, 2 * n + 1)])
+    return ImplicationalBase._from_rules(g, rules), graph
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +185,10 @@ class Poset:
         rows = [1 << i for i in range(n)]
         for a, b in pairs:
             rows[g.index(a)] |= 1 << g.index(b)
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: paths through 0..k
             for i in range(n):
-                acc = rows[i]
-                for j in range(n):
-                    if acc >> j & 1:
-                        acc |= rows[j]
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i] >> j & 1 and rows[j] >> i & 1:

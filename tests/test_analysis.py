@@ -346,6 +346,22 @@ def test_structure_checks_past_the_old_bounds():
     assert check_biatomic(free21).ok
 
 
+def test_independence_holds_one_path_not_every_closure():
+    # The walk carries each subset's closure down its own path only; a
+    # closure per subset of 14 elements would take about 1.6 MB.
+    import tracemalloc
+
+    free14 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(14)) + "\n")[0]
+    close(free14, free14.ground.empty())  # the closure engine is built before tracing
+    tracemalloc.start()
+    try:
+        assert check_independent(free14, free14.ground.full()).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
 # ---------------------------------------------------------------------------
 # the logarithmic bound
 

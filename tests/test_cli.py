@@ -215,11 +215,67 @@ options:
   --cap-keys CAP_KEYS   key enumeration cap
   --cap-mis CAP_MIS     independent-set cap
 """
+CAPS_HELP = SOLVE_HELP[len(SOLVE_USAGE):]
+
+
+def caps_usage(command):
+    # The usage of a command that takes the caps, wrapped as SOLVE_USAGE is.
+    pad = " " * len(f"usage: conclose {command} ")
+    return (
+        f"usage: conclose {command} [-h] [--format {{text,json}}] [--cap-keys CAP_KEYS]\n"
+        f"{pad}[--cap-mis CAP_MIS]\n{pad}instance\n"
+    )
+
+
+CLOSURE_USAGE = "usage: conclose closure [-h] [--format {text,json}] --set SET_ARG instance\n"
+CLOSURE_HELP = CLOSURE_USAGE + """
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --set SET_ARG         comma-separated labels
+"""
+ANALYZE_USAGE = "usage: conclose analyze [-h] [--format {text,json}] instance\n"
+ANALYZE_HELP = ANALYZE_USAGE + """
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+"""
+GENERATE_USAGE = """\
+usage: conclose generate [-h] [--n N] [--imps IMPS]
+                         [--max-premise MAX_PREMISE] [--edges EDGES]
+                         [--dim DIM] [--cnf CNF_PATH] [--reduce] [--seed SEED]
+                         [-o OUTPUT]
+                         {random,exponential,cnf,fano,gf2}
+"""
+GENERATE_HELP = GENERATE_USAGE + """
+positional arguments:
+  {random,exponential,cnf,fano,gf2}
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --imps IMPS
+  --max-premise MAX_PREMISE
+  --edges EDGES
+  --dim DIM
+  --cnf CNF_PATH        DIMACS-like positive 3-CNF input
+  --reduce              wrap a cnf base in the co-atom reduction
+  --seed SEED
+  -o OUTPUT, --output OUTPUT
+                        write to a file instead of stdout
+"""
 CHOICES = "'solve', 'oracle', 'keys', 'closure', 'coatoms', 'analyze', 'generate'"
 INVALID = "argument command: invalid choice: {!r} (choose from " + CHOICES + ")"
 MISSING = "the following arguments are required: command"
 NOT_INT = "argument --cap-{}: expected a non-negative integer, got {!r}"
 EXTRA = "unrecognized arguments: --limit-ground FILE"
+NO_INSTANCE = "the following arguments are required: instance"
 
 
 def top_error(message):
@@ -228,6 +284,10 @@ def top_error(message):
 
 def solve_error(message):
     return SOLVE_USAGE + f"conclose solve: error: {message}\n"
+
+
+def command_error(usage, command, message):
+    return usage + f"conclose {command}: error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -244,6 +304,43 @@ def solve_error(message):
         (["oracle", "--limit-ground", "20", "FILE"], 1, "", top_error(EXTRA)),
         (["analyze", "--limit-ground", "20", "FILE"], 1, "", top_error(EXTRA)),
         (["bench"], 1, "", top_error(INVALID.format("bench"))),
+        (["oracle", "--help"], 0, caps_usage("oracle") + CAPS_HELP, ""),
+        (["keys", "--help"], 0, caps_usage("keys") + CAPS_HELP, ""),
+        (["closure", "--help"], 0, CLOSURE_HELP, ""),
+        (["coatoms", "--help"], 0, caps_usage("coatoms") + CAPS_HELP, ""),
+        (["analyze", "--help"], 0, ANALYZE_HELP, ""),
+        (["generate", "--help"], 0, GENERATE_HELP, ""),
+        (["solve"], 1, "", solve_error(NO_INSTANCE)),
+        (["oracle"], 1, "", command_error(caps_usage("oracle"), "oracle", NO_INSTANCE)),
+        (
+            ["keys", "--format", "xml", "FILE"],
+            1,
+            "",
+            command_error(
+                caps_usage("keys"),
+                "keys",
+                "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+            ),
+        ),
+        (
+            ["closure", "FILE"],
+            1,
+            "",
+            command_error(CLOSURE_USAGE, "closure", "the following arguments are required: --set"),
+        ),
+        (["coatoms"], 1, "", command_error(caps_usage("coatoms"), "coatoms", NO_INSTANCE)),
+        (["analyze"], 1, "", command_error(ANALYZE_USAGE, "analyze", NO_INSTANCE)),
+        (
+            ["generate", "bogus"],
+            1,
+            "",
+            command_error(
+                GENERATE_USAGE,
+                "generate",
+                "argument family: invalid choice: 'bogus' (choose from 'random', "
+                "'exponential', 'cnf', 'fano', 'gf2')",
+            ),
+        ),
     ],
 )
 def test_usage_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
