@@ -1,13 +1,13 @@
 """Structural checks on the closure system of an implicational base.
 
 Only modularity is evaluated over the closed-set family, so it is desk
-scale: enumerate_closed_sets refuses ground sets above EXHAUSTIVE_LIMIT,
-and modularity reads the cover graph of the family. Independence closes
-every subset of a given set once and refuses sets above the same limit.
-The other checks need no family: distributivity is read off the rules,
-biatomicity off the splits of minimal generators, and minimal generators
-and meet-irreducibles (hence the arrow relations and the dependency
-digraph) are key queries.
+scale: it reads the family's cover graph, and enumerate_closed_sets
+refuses ground sets above EXHAUSTIVE_LIMIT, where analyze reports it n/a.
+Independence closes every subset of a set once and refuses sets above
+the same limit. The other checks need no family: distributivity is read
+off the rules, biatomicity off the splits of minimal generators, and
+minimal generators and meet-irreducibles (hence the arrow relations and
+the dependency digraph) are key queries.
 Each failed check carries a concrete witness: the sets or elements
 violating the definition, plus a rendered explanation.
 """
@@ -28,8 +28,8 @@ from .core import (
     iter_bits,
     iter_submasks,
 )
-from .errors import HypothesesNotMet, MismatchedGroundSets, NotStandard
-from .keys import _element_keys, caratheodory_number, minimal_generators
+from .errors import GroundSetTooLarge, HypothesesNotMet, MismatchedGroundSets, NotStandard
+from .keys import _element_keys, caratheodory_number
 from .solver import meet_irreducibles
 
 
@@ -45,6 +45,12 @@ class CheckResult:
         return self.ok
 
 
+def _failed(g: GroundSet, text: str, *masks: int) -> CheckResult:
+    # A failed check witnessed by the sets of ``masks``; ``text`` names them by position.
+    sets = tuple(ElemSet(g, m) for m in masks)
+    return CheckResult(False, sets, text.format(*sets))
+
+
 def check_standard(base: ImplicationalBase) -> CheckResult:
     """Standard means: the empty set is closed, and removing an element
     from its own closure leaves a closed set."""
@@ -52,11 +58,7 @@ def check_standard(base: ImplicationalBase) -> CheckResult:
     g = base.ground
     bottom = ch.close(0)
     if bottom != 0:
-        return CheckResult(
-            False,
-            (ElemSet(g, bottom),),
-            f"closure of the empty set is {ElemSet(g, bottom)!r}, not empty",
-        )
+        return _failed(g, "closure of the empty set is {!r}, not empty", bottom)
     for x in range(g.n):
         bit = 1 << x
         reduced = ch.close(bit) & ~bit
@@ -117,19 +119,14 @@ def check_biatomic(base: ImplicationalBase) -> CheckResult:
 
     for p in atom_masks:
         for gen in _element_keys(base, next(iter_bits(p & ~bottom))):
-            for t in iter_submasks(gen.mask & (gen.mask - 1)):  # all but the lowest element
+            for t in iter_submasks(gen & (gen - 1)):  # all but the lowest element
                 if not t:
                     break
-                f1, in1 = part(gen.mask ^ t)
+                f1, in1 = part(gen ^ t)
                 f2, in2 = part(t)
                 if not any(p & ~pair_close[i][j] == 0 for i in in1 for j in in2):
-                    return CheckResult(
-                        False,
-                        (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, p)),
-                        "atom {!r} is below the join of {!r} and {!r} but below no atom-pair join".format(
-                            ElemSet(g, p), ElemSet(g, f1), ElemSet(g, f2)
-                        ),
-                    )
+                    text = "atom {2!r} is below the join of {0!r} and {1!r} but below no atom-pair join"
+                    return _failed(g, text, f1, f2, p)
     return CheckResult(True)
 
 
@@ -157,10 +154,7 @@ def check_distributive(base: ImplicationalBase) -> CheckResult:
         for p in iter_bits(pmask):
             v = single[p]
             if ch.close(u | v) != u | v:
-                a, b = ElemSet(g, u), ElemSet(g, v)
-                return CheckResult(
-                    False, (a, b), f"union of closed sets {a!r} and {b!r} is not closed"
-                )
+                return _failed(g, "union of closed sets {!r} and {!r} is not closed", u, v)
             u |= v
     return CheckResult(True)
 
@@ -185,24 +179,19 @@ def check_modular(base: ImplicationalBase) -> CheckResult:
         for u in ups:
             down[u].append(f)
 
-    def fails(f1: int, f2: int, f3: int) -> CheckResult:
-        sets = (ElemSet(g, f1), ElemSet(g, f2), ElemSet(g, f3))
-        return CheckResult(
-            False, sets, "modular law fails for {!r} <= {!r} with {!r}".format(*sets)
-        )
-
+    fails = "modular law fails for {!r} <= {!r} with {!r}"
     for ups in up.values():
         for a, b in combinations(ups, 2):
             j = ch.close(a | b)
             for x, y in ((a, b), (b, a)):
                 if j not in up[x]:
-                    return fails(x, next(d for d in up[x] if d & ~j == 0), y)
+                    return _failed(g, fails, x, next(d for d in up[x] if d & ~j == 0), y)
     for lows in down.values():
         for a, b in combinations(lows, 2):
             meet = a & b
             for x, y in ((a, b), (b, a)):
                 if x not in up[meet]:
-                    return fails(next(e for e in down[x] if meet & ~e == 0), x, y)
+                    return _failed(g, fails, next(e for e in down[x] if meet & ~e == 0), x, y)
     return CheckResult(True)
 
 
@@ -211,13 +200,12 @@ def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
     pairs of its subsets. Refuses sets above EXHAUSTIVE_LIMIT."""
     if subset.ground != base.ground:
         raise MismatchedGroundSets("set and base over different ground sets")
-    return _check_independent(base, subset, None)
+    return _check_independent(base, subset.mask, None)
 
 
-def _check_independent(
-    base: ImplicationalBase, subset: ElemSet, memo: dict[int, int] | None
-) -> CheckResult:
-    """check_independent, reading and filling the closure memo when given one.
+def _check_independent(base: ImplicationalBase, mask: int, memo: dict[int, int] | None) -> CheckResult:
+    """check_independent on ``mask``, the set X, reading and filling the
+    closure memo when given one.
 
     Closure commutes with intersection on all pairs of subsets of X iff
     every Y ⊆ X has cl(Y) = cl(X) ∩ ⋂ cl(X ∖ {b}) over b in X ∖ Y: Y is
@@ -229,7 +217,7 @@ def _check_independent(
     on it, not a closure per subset, and a failure is the pair
     (X ∖ {b}, Y), larger mask first.
     """
-    _refuse_past_exhaustive_limit(len(subset))
+    _refuse_past_exhaustive_limit(mask.bit_count())
     ch = _chainer(base)
     if memo is None:
         close = ch.close
@@ -241,13 +229,11 @@ def _check_independent(
                 c = memo[y] = ch.close(y)
             return c
 
-    g = base.ground
-    m = subset.mask
     # co[b] is cl(X ∖ {b}). X's children are all tested before any deeper
     # subset and fill it; their own test holds trivially, as
     # cl(X ∖ {b}) lies inside cl(X).
     co: dict[int, int] = {}
-    stack = [(m, close(m), m)]  # (Y, cl(Y), the elements Y's children may drop)
+    stack = [(mask, close(mask), mask)]  # (Y, cl(Y), the elements Y's children may drop)
     while stack:
         y, cy, free = stack.pop()
         while free:
@@ -255,12 +241,11 @@ def _check_independent(
             free ^= bit
             c = close(y ^ bit)
             if c != cy & co.setdefault(bit, c):
-                pair = tuple(ElemSet(g, x) for x in sorted((m ^ bit, y), reverse=True))
-                return CheckResult(
-                    False,
-                    pair,
+                return _failed(
+                    base.ground,
                     "closure of the intersection of {!r} and {!r} differs from the "
-                    "intersection of closures".format(*pair),
+                    "intersection of closures",
+                    *sorted((mask ^ bit, y), reverse=True),
                 )
             if free:
                 stack.append((y ^ bit, c, free))
@@ -299,19 +284,23 @@ def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
     """Every minimal generator of every element is an independent set."""
     # A generator shared by several elements is checked once, and the
     # closures of subsets shared between generators are computed once.
+    # An element of close(∅) has the empty key, standing for singletons:
+    # both are always independent.
+    g = base.ground
     memo: dict[int, int] = {}
     checked: set[int] = set()
-    for x in range(base.ground.n):
-        for gen in minimal_generators(base, x):
-            if gen.mask in checked:
+    for x in range(g.n):
+        for gen in _element_keys(base, x):
+            if gen in checked:
                 continue
-            checked.add(gen.mask)
+            checked.add(gen)
             res = _check_independent(base, gen, memo)
             if not res.ok:
+                gen_set = ElemSet(g, gen)
                 return CheckResult(
                     False,
-                    (x, gen) + res.witness,
-                    f"minimal generator {gen!r} of {base.ground.labels[x]} is not independent: "
+                    (x, gen_set) + res.witness,
+                    f"minimal generator {gen_set!r} of {g.labels[x]} is not independent: "
                     + res.detail,
                 )
     return CheckResult(True)
@@ -443,9 +432,10 @@ def verify_log_bound(base: ImplicationalBase) -> bool:
 class AnalysisReport:
     """One-stop structural summary of a closure system.
 
-    Two fields are None when they do not apply: lower_bounded needs a
-    standard system, and log_bound_holds the atomistic, biatomic and
-    generator-independence hypotheses.
+    Three fields are None when they do not apply: modular past
+    EXHAUSTIVE_LIMIT (the refusal is its witness), lower_bounded for a
+    non-standard system, and log_bound_holds unless the atomistic,
+    biatomic and generator-independence hypotheses hold.
     """
 
     n_elements: int
@@ -453,7 +443,7 @@ class AnalysisReport:
     atomistic: bool
     biatomic: bool
     distributive: bool
-    modular: bool
+    modular: bool | None
     lower_bounded: bool | None
     caratheodory: int
     log_bound_holds: bool | None
@@ -503,7 +493,11 @@ def analyze(base: ImplicationalBase) -> AnalysisReport:
     atomistic = note("atomistic", check_atomistic(base))
     biatomic = note("biatomic", check_biatomic(base))
     distributive = note("distributive", check_distributive(base))
-    modular = note("modular", check_modular(base))
+    modular: bool | None = None
+    try:
+        modular = note("modular", check_modular(base))
+    except GroundSetTooLarge as exc:
+        witnesses["modular"] = str(exc)
     mingen_ok = note("mingen_independence", check_mingen_independence(base))
     caratheodory = caratheodory_number(base)
 

@@ -42,8 +42,8 @@ class _Chainer:
     element i. grow() counts premise elements down as they are reached,
     fires a rule exactly once when its counter hits zero, and returns as
     soon as the result is the full set; close() runs it from fresh
-    counters. ``element_keys`` maps an element x to the minimal keys of
-    the base plus ``{x} -> everything``, filled on demand by keys.py.
+    counters. ``element_keys`` maps an element x to the key masks of the
+    base plus ``{x} -> everything``, filled on demand by keys.py.
     ``proper_closed`` is None until keys.py first minimizes the full
     set on this engine; it then holds a SubsetIndex over the
     complements of the proper closed sets that minimization met.
@@ -68,7 +68,7 @@ class _Chainer:
         for j, (p, _) in enumerate(self.rules):
             for i in iter_bits(p):
                 self.occurs[i].append(j)
-        self.element_keys: dict[int, tuple[ElemSet, ...]] = {}
+        self.element_keys: dict[int, tuple[int, ...]] = {}
         self.proper_closed: SubsetIndex | None = None
 
     def close(self, mask: int) -> int:

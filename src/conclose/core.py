@@ -423,7 +423,7 @@ class ConsistencyGraph:
     duplicate handling in ImplicationalBase.
     """
 
-    __slots__ = ("ground", "edges", "edge_masks", "self_loops_dropped")
+    __slots__ = ("ground", "edges", "self_loops_dropped")
 
     def __init__(self, ground: GroundSet, pairs: Iterable[tuple[int, int]]):
         n = ground.n
@@ -438,7 +438,6 @@ class ConsistencyGraph:
             normalized.add((u, v) if u < v else (v, u))
         self.ground = ground
         self.edges = tuple(sorted(normalized))
-        self.edge_masks = tuple((1 << u) | (1 << v) for u, v in self.edges)
         self.self_loops_dropped = loops
 
     @classmethod

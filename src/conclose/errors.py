@@ -58,9 +58,9 @@ class ParseError(ClosureError):
 class OutputLimitExceeded(ClosureError):
     """An enumeration produced more results than its configured cap.
 
-    The exception carries the phase name, the cap, and whatever partial
-    results were collected so far. Callers must treat the partial list
-    as incomplete; it is never a valid final answer.
+    The exception carries the phase name, the cap, and the sorted int
+    masks of the keys or independent sets found so far. Callers must
+    treat the partial list as incomplete; it is never a final answer.
     """
 
     def __init__(self, phase: str, cap: int, partial: list):

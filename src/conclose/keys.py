@@ -44,9 +44,10 @@ augment a base for the solver. Each element's saturation runs once per
 base and is kept beside the compiled closure engine, so minimal
 generators, the Carathéodory number and the meet-irreducibles share it.
 
-Every enumeration returns a plain tuple of ElemSet in lectic order. The
-minimal keys are a duplicate-free antichain, and their masks go as they
-are to transversal.maximal_independent_sets as its edge list.
+Inside the package a key family is a lectic sequence of int masks, and each
+public function wraps its own result in ElemSet, once. The minimal keys
+are a duplicate-free antichain; their masks are the edge list of
+transversal.maximal_independent_sets as they are.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def augment_with_inconsistency(
         raise MismatchedGroundSets("base and graph ground sets differ")
     if not graph.edges:
         raise EmptyGraph("augmentation needs at least one conflict edge")
-    return _with_full_rules(base, graph.edge_masks)
+    return _with_full_rules(base, ((1 << u) | (1 << v) for u, v in graph.edges))
 
 
 def _minimize_mask(ch, full: int, mask: int) -> int:
@@ -135,12 +136,8 @@ def minimize_superkey(base: ImplicationalBase, superkey: ElemSet) -> ElemSet:
     return ElemSet(base.ground, _minimize_mask(ch, full, superkey.mask))
 
 
-def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet, ...]:
-    """All minimal keys of ``base`` by Lucchesi-Osborn saturation, in lectic order.
-
-    Raises OutputLimitExceeded as soon as key ``cap + 1`` is found,
-    carrying those ``cap + 1`` keys.
-    """
+def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
+    # enumerate_keys as a sorted list of masks, the form the package reads.
     g = base.ground
     ch = _chainer(base)
     full = g.full_mask
@@ -163,7 +160,7 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet
         found.append(k)
         index.add(k)
         if len(found) > cap:
-            raise OutputLimitExceeded("keys", cap, [ElemSet(g, m) for m in sorted(found)])
+            raise OutputLimitExceeded("keys", cap, sorted(found))
         # Every rewrite of a rule whose premise holds k holds k too.
         dead = live
         m = k
@@ -194,7 +191,16 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet
                 continue
             add_key(_minimize_mask(ch, full, s))
     found.sort()
-    return tuple(ElemSet(g, m) for m in found)
+    return found
+
+
+def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet, ...]:
+    """All minimal keys of ``base`` by Lucchesi-Osborn saturation, in lectic order.
+
+    Raises OutputLimitExceeded as soon as key ``cap + 1`` is found,
+    carrying the masks of those ``cap + 1`` keys.
+    """
+    return tuple(ElemSet(base.ground, m) for m in _key_masks(base, cap))
 
 
 def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
@@ -218,14 +224,14 @@ def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
     return tuple(ElemSet(g, m) for m in found)
 
 
-def _element_keys(base: ImplicationalBase, element: int) -> tuple[ElemSet, ...]:
-    # The minimal keys of the base plus {element} -> everything, saturated
-    # once per base: the tuples are immutable, so the compiled engine
-    # cached on the base keeps them for every later query.
+def _element_keys(base: ImplicationalBase, element: int) -> tuple[int, ...]:
+    # The lectic key masks of the base plus {element} -> everything,
+    # saturated once per base: the tuples are immutable, so the compiled
+    # engine cached on the base keeps them for every later query.
     memo = _chainer(base).element_keys
     keys = memo.get(element)
     if keys is None:
-        keys = memo[element] = enumerate_keys(_with_full_rules(base, [1 << element]))
+        keys = memo[element] = tuple(_key_masks(_with_full_rules(base, [1 << element])))
     return keys
 
 
@@ -242,17 +248,16 @@ def minimal_generators(base: ImplicationalBase, element: int) -> tuple[ElemSet, 
     if not 0 <= element < g.n:
         raise ValueError(f"element index {element} out of range")
     keys = _element_keys(base, element)
-    if keys[0].mask == 0:
+    if keys[0] == 0:
         return tuple(ElemSet(g, 1 << i) for i in range(g.n))
-    return keys
+    return tuple(ElemSet(g, m) for m in keys)
 
 
 def caratheodory_number(base: ImplicationalBase) -> int:
     """The largest size of any minimal generator, 1 when only trivial ones exist."""
-    return max(
-        (len(gen) for x in range(base.ground.n) for gen in minimal_generators(base, x)),
-        default=1,
-    )
+    # An element of close(∅) has the empty key but singleton generators.
+    sizes = (k.bit_count() for x in range(base.ground.n) for k in _element_keys(base, x))
+    return max(1, max(sizes, default=1))
 
 
 def key_decomposition(

@@ -9,13 +9,14 @@ per conflict edge that forces the full set; the maximal consistent
 closed sets are then the co-atoms of the augmented base.
 meet_irreducibles() adds the rule ``{x} -> everything`` for one element
 x at a time; the co-atoms are then the closed sets maximal among those
-missing x. Each of the three hands the masks of its lectic key tuple
-straight to transversal.maximal_independent_sets as the edge list, with
-no antichain pass between, and wraps the masks it gets back in ElemSet
-once. The empty set is a key exactly when close(∅) is the full set; it
-is then the one edge, and no set avoids it, so no special case is
-needed. A brute-force oracle over the consistent closed
-sets is provided for cross-checking at desk scale.
+missing x. Each of the three hands its lectic key masks straight to
+transversal.maximal_independent_sets as the edge list, with no
+antichain pass between, and wraps the masks it gets back in ElemSet
+once; solve() alone reads its keys off the public enumerate_keys, which
+perfbench/trace_child.py times. The empty set is a key exactly when
+close(∅) is the full set; it is then the one edge, and no set avoids
+it, so no special case is needed. A brute-force oracle over the
+consistent closed sets is provided for cross-checking at desk scale.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     iter_bits,
 )
 from .errors import MismatchedGroundSets
-from .keys import _element_keys, augment_with_inconsistency, enumerate_keys
+from .keys import _element_keys, _key_masks, augment_with_inconsistency, enumerate_keys
 from .transversal import maximal_independent_sets
 
 
@@ -93,8 +94,7 @@ def co_atoms(base: ImplicationalBase, key_cap: int = KEY_CAP, mis_cap: int = MIS
     Either phase may raise OutputLimitExceeded.
     """
     g = base.ground
-    keys = enumerate_keys(base, cap=key_cap)
-    masks = maximal_independent_sets(g.n, [k.mask for k in keys], cap=mis_cap)
+    masks = maximal_independent_sets(g.n, _key_masks(base, key_cap), cap=mis_cap)
     return [ElemSet(g, m) for m in masks]
 
 
@@ -111,7 +111,7 @@ def meet_irreducibles(base: ImplicationalBase) -> list[tuple[ElemSet, ElemSet]]:
     ch = _chainer(base)
     cover: dict[int, int] = {}
     for x in range(g.n):
-        for m in maximal_independent_sets(g.n, [k.mask for k in _element_keys(base, x)]):
+        for m in maximal_independent_sets(g.n, _element_keys(base, x)):
             if m not in cover:
                 cover[m] = ch.close(m | 1 << x)
     return [(ElemSet(g, m), ElemSet(g, cover[m])) for m in sorted(cover)]
@@ -197,7 +197,7 @@ def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: Ele
     m = candidate.mask
     if ch.close(m) != m:
         return False
-    edges = SubsetIndex(base.ground.n, graph.edge_masks)
+    edges = SubsetIndex(base.ground.n, ((1 << u) | (1 << v) for u, v in graph.edges))
     if edges.has_subset_of(m):
         return False
     return all(edges.has_subset_of(ch.close(m | 1 << i)) for i in iter_bits(ch.full & ~m))

@@ -308,7 +308,6 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         brute_force_keys,
         lambda base: brute_force_solve(base, ConsistencyGraph(base.ground, [])),
         check_modular,
-        analyze,
         lambda base: check_independent(base, base.ground.full()),
     ],
     ids=[
@@ -316,18 +315,30 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
         "brute_force_keys",
         "brute_force_solve",
         "check_modular",
-        "analyze",
         "check_independent",
     ],
 )
 def test_exhaustive_checks_refuse_past_the_limit(check):
     # Each check reaches the closed-set enumeration, or the subset scan of
     # check_independent, before any exponential work, and both refuse
-    # before their first set. analyze refuses through check_modular.
+    # before their first set.
     n = EXHAUSTIVE_LIMIT + 1
     base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
     with pytest.raises(GroundSetTooLarge, match=f"{n} elements exceeds the exhaustive limit of 20"):
         check(base)
+
+
+def test_analyze_reports_modularity_na_past_the_limit():
+    # check_modular refuses, and analyze carries its refusal as the witness
+    # and runs every other check.
+    n = EXHAUSTIVE_LIMIT + 1
+    base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
+    rep = analyze(base)
+    assert rep.modular is None
+    assert rep.witnesses == {"modular": f"{n} elements exceeds the exhaustive limit of 20"}
+    assert rep.to_dict()["modular"] is None
+    assert "modular                    : n/a" in rep.render_text().splitlines()
+    assert (rep.atomistic, rep.biatomic, rep.distributive, rep.caratheodory) == (True, True, True, 1)
 
 
 def test_structure_checks_past_the_old_bounds():
@@ -406,6 +417,99 @@ def test_analyze_demo(demo_base):
     assert "atomistic" in rep.witnesses
 
 
+# Degenerate key families: no element at all, every element in close(∅),
+# and one element in close(∅) beside a conflict edge. Generators of an
+# element of close(∅) are the singletons, read off its empty key. The
+# reports were captured from the code that still wrapped every key.
+DEGENERATE = [
+    pytest.param(
+        "elements:\n",
+        """\
+elements                   : 0
+standard                   : yes
+atomistic                  : yes
+biatomic                   : yes
+distributive               : yes
+modular                    : yes
+lower bounded              : yes
+caratheodory number        : 1
+log bound holds            : no
+min generators independent : yes
+d-relation self loops      : none""",
+        {"standard": True, "atomistic": True, "lower_bounded": True,
+         "log_bound_holds": False, "witnesses": {}},
+        id="empty-ground",
+    ),
+    pytest.param(
+        "elements: a b\nimp: -> a b\n",
+        """\
+elements                   : 2
+standard                   : no
+atomistic                  : no
+biatomic                   : yes
+distributive               : yes
+modular                    : yes
+lower bounded              : n/a
+caratheodory number        : 1
+log bound holds            : n/a
+min generators independent : yes
+d-relation self loops      : none
+witness[atomistic] : closure of a is {a b}, not the singleton
+witness[lower_bounded] : not standard, arrow relations undefined
+witness[standard] : closure of the empty set is {a b}, not empty""",
+        {"standard": False, "atomistic": False, "lower_bounded": None,
+         "log_bound_holds": None, "witnesses": {
+             "atomistic": "closure of a is {a b}, not the singleton",
+             "lower_bounded": "not standard, arrow relations undefined",
+             "standard": "closure of the empty set is {a b}, not empty",
+         }},
+        id="all-in-bottom",
+    ),
+    pytest.param(
+        "elements: a b\nimp: -> a\nedge: a b\n",
+        """\
+elements                   : 2
+standard                   : no
+atomistic                  : no
+biatomic                   : yes
+distributive               : yes
+modular                    : yes
+lower bounded              : n/a
+caratheodory number        : 1
+log bound holds            : n/a
+min generators independent : yes
+d-relation self loops      : none
+witness[atomistic] : closure of b is {a b}, not the singleton
+witness[lower_bounded] : not standard, arrow relations undefined
+witness[standard] : closure of the empty set is {a}, not empty""",
+        {"standard": False, "atomistic": False, "lower_bounded": None,
+         "log_bound_holds": None, "witnesses": {
+             "atomistic": "closure of b is {a b}, not the singleton",
+             "lower_bounded": "not standard, arrow relations undefined",
+             "standard": "closure of the empty set is {a}, not empty",
+         }},
+        id="bottom-and-edge",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, report, fields", DEGENERATE)
+def test_degenerate_key_families(text, report, fields):
+    base = simple(text)
+    n = base.ground.n
+    assert caratheodory_number(base) == 1
+    for x in range(n):
+        assert all(len(gen) == 1 for gen in minimal_generators(base, x))
+    assert check_mingen_independence(base).ok
+    rep = analyze(base)
+    assert rep.render_text() == report
+    # The JSON report, as the CLI writes it; the fields shared by all three first.
+    assert json.loads(json.dumps(rep.to_dict())) == {
+        "n_elements": n, "biatomic": True, "distributive": True, "modular": True,
+        "caratheodory": 1, "mingen_all_independent": True, "d_self_loops": [], **fields,
+    }
+
+
 def test_analyze_non_standard_marks_lower_bounded_na():
     rep = analyze(simple("elements: a b\nimp: -> a\n"))
     assert rep.standard is False
@@ -444,14 +548,14 @@ def test_analyze_saturates_each_element_once(monkeypatch):
 
     base = gen_projective_gf2(3)
     calls = []
-    enumerate_keys = keys_module.enumerate_keys
+    key_masks = keys_module._key_masks
 
     def counting(b, *args, **kwargs):
         calls.append(b)
-        return enumerate_keys(b, *args, **kwargs)
+        return key_masks(b, *args, **kwargs)
 
-    monkeypatch.setattr(keys_module, "enumerate_keys", counting)
-    monkeypatch.setattr(solver_module, "enumerate_keys", counting)
+    monkeypatch.setattr(keys_module, "_key_masks", counting)
+    monkeypatch.setattr(solver_module, "_key_masks", counting)
     rep = analyze(base)
     assert rep.caratheodory == 4
     assert len(calls) == base.ground.n == 15
@@ -492,9 +596,9 @@ def test_mingen_independence_work_guards(monkeypatch):
     checked = []
     check = analysis_module._check_independent
 
-    def counting_check(b, subset, *args):
-        checked.append(subset.mask)
-        return check(b, subset, *args)
+    def counting_check(b, mask, *args):
+        checked.append(mask)
+        return check(b, mask, *args)
 
     monkeypatch.setattr(analysis_module, "_check_independent", counting_check)
     shared = simple("elements: a b c d\nimp: a b -> c d\n")

@@ -28,17 +28,21 @@ PINS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def canonical_text():
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = run  # its dataclasses look their module up
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__ in perfbench/
     try:
-        spec.loader.exec_module(run)
+        spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-    return run.canonical_text
+    return module
+
+
+@pytest.fixture(scope="module")
+def canonical_text():
+    return _load("perfbench_run", "run.py").canonical_text
 
 
 @pytest.mark.parametrize("workload, pin", PINS)
@@ -56,3 +60,19 @@ def test_pinned_instance_gives_its_pinned_answer(canonical_text, workload, pin):
     masks = [s.mask for s in run(base, graph)]
     assert len(masks) == pin["solutions"]
     assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == pin["digest"]
+
+
+# Targets that no longer exist; the benchmark lists them as missing
+# until its trace is next revised.
+STALE_TARGETS = {"solver.Hypergraph", "solver.enumerate_closed_sets"}
+
+
+def test_trace_targets_resolve_in_the_package():
+    # The benchmark's trace wraps these names; one that a refactor drops
+    # from the solve path silently stops being timed and counted.
+    targets = _load("perfbench_trace_child", "trace_child.py").TARGETS
+    assert STALE_TARGETS <= set(targets)
+    for target in targets:
+        module, attr = target.split(".")
+        resolves = hasattr(importlib.import_module("conclose." + module), attr)
+        assert resolves == (target not in STALE_TARGETS), target

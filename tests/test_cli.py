@@ -368,14 +368,34 @@ def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch, demo_file)
     assert built == ["closure"]
 
 
-def test_exhaustive_commands_refuse_past_the_limit(capsys, tmp_path):
+@pytest.fixture
+def wide_file(tmp_path):
     p = tmp_path / "wide.txt"
     p.write_text("elements: " + " ".join(f"e{i}" for i in range(21)) + "\nedge: e0 e1\n")
-    for command in ("oracle", "analyze"):
-        code, out, err = run_cli(capsys, command, str(p))
-        assert code == 1, command
-        assert out == ""
-        assert "21 elements exceeds the exhaustive limit of 20" in err
+    return str(p)
+
+
+def test_exhaustive_commands_refuse_past_the_limit(capsys, wide_file):
+    code, out, err = run_cli(capsys, "oracle", wide_file)
+    assert code == 1
+    assert out == ""
+    assert "21 elements exceeds the exhaustive limit of 20" in err
+
+
+def test_analyze_reports_modularity_na_past_the_limit(capsys, wide_file):
+    # Only modularity reads the closed-set family; analyze reports it n/a
+    # with the refusal as its witness and runs every other check.
+    refusal = "21 elements exceeds the exhaustive limit of 20"
+    code, out, err = run_cli(capsys, "analyze", wide_file)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "modular                    : n/a" in lines
+    assert f"witness[modular] : {refusal}" in lines
+    code, out, err = run_cli(capsys, "analyze", "--format", "json", wide_file)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["modular"] is None
+    assert payload["witnesses"] == {"modular": refusal}
 
 
 def test_oracle_agrees_at_the_limit(capsys, tmp_path):

@@ -150,7 +150,12 @@ def test_key_cap_reports_partial():
         enumerate_keys(aug, cap=5)
     assert err.value.phase == "keys"
     # The saturation stops at the key that passes the cap, as MMCS does.
-    assert len(err.value.partial) == 5 + 1
+    partial = err.value.partial
+    assert len(partial) == 5 + 1
+    # Like MMCS's, the partial list holds sorted masks, each one a key.
+    assert isinstance(partial, list) and partial == sorted(partial)
+    assert all(type(m) is int for m in partial)
+    assert set(partial) <= {k.mask for k in brute_force_keys(aug)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +320,13 @@ def test_decomposition_reuses_generator_saturations(monkeypatch):
     base, graph = gen_exponential(3)
     keys = enumerate_keys(augment_with_inconsistency(base, graph))
     calls = []
-    saturate = keys_module.enumerate_keys
+    saturate = keys_module._key_masks
 
     def counting(b, *args, **kwargs):
         calls.append(b)
         return saturate(b, *args, **kwargs)
 
-    monkeypatch.setattr(keys_module, "enumerate_keys", counting)
+    monkeypatch.setattr(keys_module, "_key_masks", counting)
     for k in keys:
         key_decomposition(base, graph, k)
     endpoints = {x for edge in graph.edges for x in edge}
