@@ -2,12 +2,13 @@
 
 Only modularity is evaluated over the closed-set family, so it is desk
 scale: it reads the family's cover graph, and enumerate_closed_sets
-refuses ground sets above EXHAUSTIVE_LIMIT, where analyze reports it n/a.
-Independence closes every subset of a set once and refuses sets above
-the same limit. The other checks need no family: distributivity is read
-off the rules, biatomicity off the splits of minimal generators, and
-minimal generators and meet-irreducibles (hence the arrow relations and
-the dependency digraph) are key queries.
+refuses ground sets above EXHAUSTIVE_LIMIT. Independence closes every
+subset of a set once and refuses sets above the same limit; analyze
+reports either check n/a where it refuses. The other checks need no
+family: distributivity is read off the rules, biatomicity off the
+splits of minimal generators, and minimal generators and
+meet-irreducibles (hence the arrow relations and the dependency
+digraph) are key queries.
 Each failed check carries a concrete witness: the sets or elements
 violating the definition, plus a rendered explanation.
 """
@@ -432,8 +433,9 @@ def verify_log_bound(base: ImplicationalBase) -> bool:
 class AnalysisReport:
     """One-stop structural summary of a closure system.
 
-    Three fields are None when they do not apply: modular past
-    EXHAUSTIVE_LIMIT (the refusal is its witness), lower_bounded for a
+    Four fields are None when they do not apply: modular past
+    EXHAUSTIVE_LIMIT and mingen_all_independent once a minimal generator
+    is past it (the refusal is the witness of each), lower_bounded for a
     non-standard system, and log_bound_holds unless the atomistic,
     biatomic and generator-independence hypotheses hold.
     """
@@ -447,7 +449,7 @@ class AnalysisReport:
     lower_bounded: bool | None
     caratheodory: int
     log_bound_holds: bool | None
-    mingen_all_independent: bool
+    mingen_all_independent: bool | None
     d_self_loops: tuple[str, ...]
     witnesses: dict[str, str] = field(default_factory=dict)
 
@@ -489,16 +491,20 @@ def analyze(base: ImplicationalBase) -> AnalysisReport:
             witnesses[name] = res.detail
         return res.ok
 
+    def note_exhaustive(name: str, check) -> bool | None:
+        # Past EXHAUSTIVE_LIMIT the check is n/a, its refusal the witness.
+        try:
+            return note(name, check(base))
+        except GroundSetTooLarge as exc:
+            witnesses[name] = str(exc)
+            return None
+
     standard = note("standard", check_standard(base))
     atomistic = note("atomistic", check_atomistic(base))
     biatomic = note("biatomic", check_biatomic(base))
     distributive = note("distributive", check_distributive(base))
-    modular: bool | None = None
-    try:
-        modular = note("modular", check_modular(base))
-    except GroundSetTooLarge as exc:
-        witnesses["modular"] = str(exc)
-    mingen_ok = note("mingen_independence", check_mingen_independence(base))
+    modular = note_exhaustive("modular", check_modular)
+    mingen_ok = note_exhaustive("mingen_independence", check_mingen_independence)
     caratheodory = caratheodory_number(base)
 
     lower_bounded: bool | None = None

@@ -14,7 +14,7 @@ conflict pairs, the same walk prunes every closed set that holds one,
 which lists the consistent closed sets for the solve oracle. Minimal
 generators and meet-irreducibles are key queries and live with the keys
 (keys.py) and co-atoms (solver.py); the engine cached on each base also
-keeps their per-element key saturations.
+keeps their per-element key saturations, and no other key state.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from .core import (
     ElemSet,
     ImplicationalBase,
-    SubsetIndex,
     _refuse_past_exhaustive_limit,
     iter_bits,
     minimal,
@@ -44,14 +43,11 @@ class _Chainer:
     soon as the result is the full set; close() runs it from fresh
     counters. ``element_keys`` maps an element x to the key masks of the
     base plus ``{x} -> everything``, filled on demand by keys.py.
-    ``proper_closed`` is None until keys.py first minimizes the full
-    set on this engine; it then holds a SubsetIndex over the
-    complements of the proper closed sets that minimization met.
     """
 
     __slots__ = (
         "n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire",
-        "element_keys", "proper_closed",
+        "element_keys",
     )
 
     def __init__(self, base: ImplicationalBase):
@@ -69,7 +65,6 @@ class _Chainer:
             for i in iter_bits(p):
                 self.occurs[i].append(j)
         self.element_keys: dict[int, tuple[int, ...]] = {}
-        self.proper_closed: SubsetIndex | None = None
 
     def close(self, mask: int) -> int:
         result = mask | self.base_fire

@@ -262,12 +262,6 @@ class ElemSet:
         m = self._coerce(other)
         return self.mask != m and self.mask & ~m == 0
 
-    def __ge__(self, other: "ElemSet") -> bool:
-        return other.__le__(self)
-
-    def __gt__(self, other: "ElemSet") -> bool:
-        return other.__lt__(self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElemSet)

@@ -27,15 +27,15 @@ scan reads only the live rules whose conclusion meets the key.
 Minimization drops elements greedily, each kept only when the closure
 of the rest falls short of the full set. Every saturation first
 minimizes the full set, and each element that minimization keeps leaves
-a proper closed set cl(rest). Their complements, at most one per
-element of that first key, go into a SubsetIndex on the compiled
-engine. In every later minimization a rest inside one of those closed
-sets cannot close to the full set, so its element is kept with no
-closure; the test skipped would have failed, so every key and every
-output is as before. On the doubling family, gen_exponential(10), this
-cuts the closures of one saturation from 10,254 to 24; on random and
-poset convexity bases, whose removal tests rarely fall inside those
-sets, it saves 6-13 %.
+a proper closed set cl(rest). Their complements, one per element of
+that first key, go into a SubsetIndex local to the saturation and
+handed to each of its minimizations. In every later minimization a
+rest inside one of those closed sets cannot close to the full set, so
+its element is kept with no closure; the test skipped would have
+failed, so every key and every output is as before. On the doubling
+family, gen_exponential(10), this cuts the closures of one saturation
+from 10,254 to 24; on random and poset convexity bases, whose removal
+tests rarely fall inside those sets, it saves 6-13 %.
 
 Minimal generators are key queries too: the minimal sets whose closure
 holds an element x are the minimal keys of the base plus the rule
@@ -95,28 +95,27 @@ def augment_with_inconsistency(
     return _with_full_rules(base, ((1 << u) | (1 << v) for u, v in graph.edges))
 
 
-def _minimize_mask(ch, full: int, mask: int) -> int:
+def _minimize_mask(ch, full: int, mask: int, proper: SubsetIndex) -> int:
     # Drop elements in decreasing index order whenever the closure of
-    # the remainder is still full. The result is one minimal key. A
-    # remainder inside a proper closed set of the engine's certificate
-    # cannot close to full, so its element stays without a closure.
-    proper = ch.proper_closed
-    certificate = SubsetIndex(ch.n) if proper is None and mask == full else None
+    # the remainder is still full. The result is one minimal key.
+    # ``proper`` holds complements of proper closed sets: a remainder
+    # inside one cannot close to full, so its element stays without a
+    # closure. Only a minimization of the full set adds to it, and its
+    # own queries never hit: each element it keeps lies outside that
+    # element's failed closure and inside every later remainder.
+    learn = mask == full
     todo = mask  # the set bits not yet tried, highest taken first
     while todo:
         bit = 1 << (todo.bit_length() - 1)
         todo ^= bit
         rest = mask ^ bit
-        if proper is not None and proper.has_subset_of(full ^ rest):
+        if proper.has_subset_of(full ^ rest):
             continue
         closed = ch.close(rest)
         if closed == full:
             mask = rest
-        elif certificate is not None:
-            certificate.add(full ^ closed)
-    if certificate is not None:
-        # Published whole, so a thread sharing the base never reads a half-built index.
-        ch.proper_closed = certificate
+        elif learn:
+            proper.add(full ^ closed)
     return mask
 
 
@@ -133,7 +132,7 @@ def minimize_superkey(base: ImplicationalBase, superkey: ElemSet) -> ElemSet:
     full = base.ground.full_mask
     if ch.close(superkey.mask) != full:
         raise NotASuperkey(f"{superkey!r} does not generate the full set")
-    return ElemSet(base.ground, _minimize_mask(ch, full, superkey.mask))
+    return ElemSet(base.ground, _minimize_mask(ch, full, superkey.mask, SubsetIndex(ch.n)))
 
 
 def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
@@ -153,6 +152,7 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
     live = (1 << len(rules)) - 1  # the rules not yet retired
     found: list[int] = []
     index = SubsetIndex(g.n)
+    proper = SubsetIndex(g.n)  # the minimizations' certificate, filled by the first
     tried: set[int] = set()  # rewrites already looked up; the index only grows
 
     def add_key(k: int) -> None:
@@ -170,7 +170,7 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
             dead &= holds[low.bit_length() - 1]
         live ^= dead
 
-    add_key(_minimize_mask(ch, full, full))
+    add_key(_minimize_mask(ch, full, full, proper))
     for k in found:  # keys appended below are scanned in turn, first in first out
         todo = 0
         m = k
@@ -189,7 +189,7 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
             tried.add(s)
             if index.has_subset_of(s):
                 continue
-            add_key(_minimize_mask(ch, full, s))
+            add_key(_minimize_mask(ch, full, s, proper))
     found.sort()
     return found
 

@@ -341,6 +341,49 @@ def test_analyze_reports_modularity_na_past_the_limit():
     assert (rep.atomistic, rep.biatomic, rep.distributive, rep.caratheodory) == (True, True, True, 1)
 
 
+WIDE_GENERATOR = (
+    "elements: " + " ".join(f"e{i}" for i in range(EXHAUSTIVE_LIMIT + 1)) + " z\n"
+    "imp: " + " ".join(f"e{i}" for i in range(EXHAUSTIVE_LIMIT + 1)) + " -> z\n"
+)
+
+
+def test_analyze_reports_generator_independence_na_past_the_limit():
+    # z's one non-trivial minimal generator has 21 elements, so its
+    # independence check refuses; analyze reports it n/a with the refusal
+    # as its witness, as it does modularity on the 22-element ground set.
+    base = parse_instance(WIDE_GENERATOR)[0]
+    with pytest.raises(GroundSetTooLarge):
+        check_mingen_independence(base)
+    rep = analyze(base)
+    assert rep.mingen_all_independent is None and rep.modular is None
+    assert rep.log_bound_holds is None
+    assert rep.witnesses["mingen_independence"] == "21 elements exceeds the exhaustive limit of 20"
+    assert rep.witnesses["modular"] == "22 elements exceeds the exhaustive limit of 20"
+    assert rep.to_dict()["mingen_all_independent"] is None
+    assert "min generators independent : n/a" in rep.render_text().splitlines()
+    assert rep.caratheodory == EXHAUSTIVE_LIMIT + 1
+
+
+def test_mingen_independence_failure_names_the_generator():
+    base = parse_instance("elements: a b c x\nimp: a -> c\nimp: b -> c\nimp: a b -> x\n")[0]
+    res = check_mingen_independence(base)
+    assert not res and not res.ok
+    assert res.detail == (
+        "minimal generator {a b} of x is not independent: closure of the "
+        "intersection of {b} and {a} differs from the intersection of closures"
+    )
+    assert check_mingen_independence(parse_instance("elements: a b\n")[0])
+
+
+def test_log_bound_names_each_failed_hypothesis():
+    base = parse_instance(
+        "elements: a b c d x\nimp: a b -> d\nimp: b c -> d\nimp: a b c -> x\n"
+    )[0]
+    with pytest.raises(HypothesesNotMet) as info:
+        verify_log_bound(base)
+    assert info.value.failed == ["biatomic", "mingen_independence"]
+
+
 def test_structure_checks_past_the_old_bounds():
     # Modularity reads the cover graph and independence closes each
     # subset once, so both stay quick on rule-free bases, where every

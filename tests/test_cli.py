@@ -398,6 +398,39 @@ def test_analyze_reports_modularity_na_past_the_limit(capsys, wide_file):
     assert payload["witnesses"] == {"modular": refusal}
 
 
+def test_analyze_reports_generator_independence_na_past_the_limit(capsys, tmp_path):
+    # A 21-element minimal generator is past the exhaustive limit of the
+    # independence check; the report still comes out, with that check n/a.
+    p = tmp_path / "wide_generator.txt"
+    elements = " ".join(f"e{i}" for i in range(21))
+    p.write_text(f"elements: {elements} z\nimp: {elements} -> z\n")
+    code, out, err = run_cli(capsys, "analyze", str(p))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "min generators independent : n/a" in lines
+    assert "modular                    : n/a" in lines
+    assert "witness[mingen_independence] : 21 elements exceeds the exhaustive limit of 20" in lines
+    assert "witness[modular] : 22 elements exceeds the exhaustive limit of 20" in lines
+    code, out, err = run_cli(capsys, "analyze", "--format", "json", str(p))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["mingen_all_independent"] is None and payload["modular"] is None
+    assert payload["witnesses"]["mingen_independence"] == (
+        "21 elements exceeds the exhaustive limit of 20"
+    )
+    assert payload["witnesses"]["modular"] == "22 elements exceeds the exhaustive limit of 20"
+
+
+def test_oracle_with_a_zero_key_cap_leaves_agreement_unchecked(capsys, demo_file):
+    # The brute force has no cap; solve stops at its first key, so the
+    # verdict is unchecked and the exit code stays 0.
+    code, out, err = run_cli(capsys, "oracle", "--cap-keys", "0", demo_file)
+    assert (code, err) == (0, "")
+    assert out == DEMO_SOLUTIONS_TEXT + (
+        "agreement: unchecked (keys: output cap of 0 exceeded (at least 1 results))\n"
+    )
+
+
 def test_oracle_agrees_at_the_limit(capsys, tmp_path):
     p = tmp_path / "limit.txt"
     p.write_text(format_instance(*gen_random(20, 40, 3, 6, 0)))

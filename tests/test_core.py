@@ -164,6 +164,22 @@ def test_elemset_ordering_is_subset_not_total():
     assert a <= a and not a < a
 
 
+def test_elemset_reflected_comparisons():
+    # ``>=`` and ``>`` are ``<=`` and ``<`` with the operands swapped,
+    # foreign grounds included; a non-set operand is a TypeError.
+    g = GroundSet(["a", "b"])
+    a, ab = g.set_of("a"), g.full()
+    assert ab >= a and ab >= ab and not a >= ab and not a >= g.set_of("b")
+    assert ab > a and not ab > ab and not a > ab
+    foreign = GroundSet(["a", "c"]).full()
+    for compare in (lambda x, y: x >= y, lambda x, y: x > y):
+        with pytest.raises(MismatchedGroundSets):
+            compare(ab, foreign)
+        for other in (3, None):
+            with pytest.raises(TypeError):
+                compare(ab, other)
+
+
 def test_elemset_add_remove():
     g = GroundSet(["a", "b", "c"])
     s = g.empty().add(1).add(2)
@@ -394,3 +410,42 @@ def test_validate_rejects_mismatched_grounds():
     other = GroundSet(["a", "c"])
     with pytest.raises(MismatchedGroundSets):
         validate_instance(base, ConsistencyGraph(other, []))
+
+
+_BASE, _GRAPH = parse_instance("elements: a b\nimp: a -> b\nedge: a b\n")
+_OTHER, _OTHER_GRAPH = parse_instance("elements: a c\nedge: a c\n")
+_G, _OG = _BASE.ground, _OTHER.ground
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: conclose.augment_with_inconsistency(_BASE, _OTHER_GRAPH),
+         MismatchedGroundSets, "base and graph ground sets differ"),
+        (lambda: conclose.minimize_superkey(_BASE, _OG.full()),
+         MismatchedGroundSets, "set and base over different ground sets"),
+        (lambda: conclose.key_decomposition(_BASE, _GRAPH, _OG.full()),
+         MismatchedGroundSets, "key, base and graph must share a ground set"),
+        (lambda: conclose.solve(_BASE, _OTHER_GRAPH),
+         MismatchedGroundSets, "base and graph ground sets differ"),
+        (lambda: conclose.is_solution(_BASE, _GRAPH, _OG.full()),
+         MismatchedGroundSets, "candidate over a different ground set"),
+        (lambda: _G.from_indices([0, 2]), ValueError, "element index 2 out of range"),
+        (lambda: ElemSet(_G, 4), ValueError, "mask 0x4 does not fit a 2-element ground set"),
+        (lambda: Implication(_G.set_of("a"), _OG.set_of("c")),
+         MismatchedGroundSets, "premise and conclusion over different ground sets"),
+        (lambda: ImplicationalBase(_G, [Implication(_OG.set_of("a"), _OG.set_of("c"))]),
+         MismatchedGroundSets, "implication over a different ground set"),
+        (lambda: ConsistencyGraph(_G, [(0, 2)]), ValueError, r"edge \(0, 2\) out of range"),
+        (lambda: format_instance(_BASE, _OTHER_GRAPH),
+         MismatchedGroundSets, "base and graph ground sets differ"),
+    ],
+    ids=[
+        "augment_with_inconsistency", "minimize_superkey", "key_decomposition", "solve",
+        "is_solution", "from_indices", "ElemSet", "Implication", "ImplicationalBase",
+        "ConsistencyGraph", "format_instance",
+    ],
+)
+def test_foreign_grounds_and_out_of_range_indices_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

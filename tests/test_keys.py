@@ -245,20 +245,24 @@ def test_saturation_work_guards(monkeypatch):
     has_subset_of = SubsetIndex.has_subset_of
     minimize = keys_module._minimize_mask
 
+    certificates = []
+
     def counting_lookup(index, mask):
         # The key index only; the minimizations' certificate is apart.
-        if index is not _chainer(aug).proper_closed:
+        if all(index is not c for c in certificates):
             looked_up[mask] += 1
         return has_subset_of(index, mask)
 
-    def counting_minimize(ch, full, mask):
+    def counting_minimize(ch, full, mask, proper):
+        certificates.append(proper)
         minimized.append(mask)
-        return minimize(ch, full, mask)
+        return minimize(ch, full, mask, proper)
 
     monkeypatch.setattr(SubsetIndex, "has_subset_of", counting_lookup)
     monkeypatch.setattr(keys_module, "_minimize_mask", counting_minimize)
     keys = enumerate_keys(aug)
     assert len(keys) > 1
+    assert len({id(c) for c in certificates}) == 1  # one certificate per saturation
     assert looked_up and max(looked_up.values()) == 1
     assert len(minimized) == len(keys)
     assert keys == brute_force_keys(aug)
@@ -275,14 +279,17 @@ def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
     has_subset_of = SubsetIndex.has_subset_of
     minimize = keys_module._minimize_mask
 
+    certificates = []
+
     def counting_lookup(index, mask):
-        if index is not _chainer(aug).proper_closed:  # the key index only
+        if all(index is not c for c in certificates):  # the key index only
             calls["lookup"] += 1
         return has_subset_of(index, mask)
 
-    def counting_minimize(ch, full, mask):
+    def counting_minimize(ch, full, mask, proper):
+        certificates.append(proper)
         calls["minimize"] += 1
-        return minimize(ch, full, mask)
+        return minimize(ch, full, mask, proper)
 
     monkeypatch.setattr(SubsetIndex, "has_subset_of", counting_lookup)
     monkeypatch.setattr(keys_module, "_minimize_mask", counting_minimize)
@@ -295,7 +302,7 @@ def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
 def test_doubling_saturation_closes_24_sets(monkeypatch):
     # Minimizing the full set of 22 elements closes 22 remainders: 12
     # close to full and 10 fail, and those 10 proper closed sets become
-    # the engine's certificate. The 1024 later minimizations then make
+    # the saturation's certificate. The 1024 later minimizations then make
     # 2 closures in all: every other removal test has a remainder inside
     # one of the 10 sets. Without the certificate this saturation makes
     # 10,254 closures.
@@ -312,6 +319,28 @@ def test_doubling_saturation_closes_24_sets(monkeypatch):
     keys = enumerate_keys(aug)
     assert len(keys) == 1025
     assert calls == 24
+
+
+def test_minimizing_first_leaves_saturation_work_unchanged(monkeypatch):
+    # The certificate belongs to one saturation, so a minimize_superkey
+    # call on the same base beforehand leaves nothing behind: the
+    # saturation still makes its 24 closures and finds the same keys.
+    aug = augment_with_inconsistency(*gen_exponential(10))
+    alone = enumerate_keys(ImplicationalBase(aug.ground, aug))
+    assert minimize_superkey(aug, aug.ground.full()) in alone
+    calls = 0
+    close = _Chainer.close
+
+    def counting_close(ch, mask):
+        nonlocal calls
+        calls += 1
+        return close(ch, mask)
+
+    monkeypatch.setattr(_Chainer, "close", counting_close)
+    keys = enumerate_keys(aug)
+    assert calls == 24
+    assert len(keys) == 1025
+    assert keys == alone
 
 
 def test_decomposition_reuses_generator_saturations(monkeypatch):

@@ -336,16 +336,14 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
 )
 def test_certified_minimization_matches_greedy_oracle(instance, draws):
     # Each draw d picks key d mod #keys and adds the elements of d to it.
-    # The superkeys short of the full set are minimized before anything
-    # seeds the engine's certificate, then the full set seeds it, then
-    # every superkey is minimized again under the certificate.
+    # Every superkey is minimized under an empty certificate, then the
+    # full set fills one, then every superkey is minimized again under it.
     base, graph = instance
     bases = [base]
     if graph.edges:
         bases.append(augment_with_inconsistency(base, graph))
     for b in bases:
         g = b.ground
-        b = ImplicationalBase(g, b)  # a new compiled engine, its certificate unseeded
         full = g.full_mask
         ch = _chainer(b)
         keys = brute_force_keys(b)
@@ -354,18 +352,19 @@ def test_certified_minimization_matches_greedy_oracle(instance, draws):
             s: greedy_minimize(b, ElemSet(g, s).labels()) for s in {*superkeys, full}
         }
 
-        def check(s):
-            assert labelset(minimize_superkey(b, ElemSet(g, s))) == expected[s]
-            assert labelset(ElemSet(g, _minimize_mask(ch, full, s))) == expected[s]
+        def minimized(s, proper):
+            return labelset(ElemSet(g, _minimize_mask(ch, full, s, proper)))
 
         for s in superkeys:
-            if s != full:
-                check(s)
-        assert ch.proper_closed is None
-        check(full)
-        assert ch.proper_closed is not None
+            assert labelset(minimize_superkey(b, ElemSet(g, s))) == expected[s]
+            assert minimized(s, SubsetIndex(g.n)) == expected[s]
+        proper = SubsetIndex(g.n)
+        assert minimized(full, proper) == expected[full]
+        # One proper closed set per element the first key keeps, none after.
+        assert proper.count == len(expected[full])
         for s in superkeys:
-            check(s)
+            assert minimized(s, proper) == expected[s]
+        assert proper.count == len(expected[full])
 
 
 # Structure queries at n <= 10: both strategies, since only the shared

@@ -18,8 +18,7 @@ from conclose import (
     parse_instance,
     solve,
 )
-from conclose import solver as solver_module
-from conclose.closure import _chainer
+from conclose import keys as keys_module
 from conclose.core import SubsetIndex
 from oracles import as_label_sets, naive_solve
 
@@ -208,10 +207,10 @@ def test_keys_reach_the_dualizer_without_a_second_subset_index(monkeypatch):
     # Key saturation builds the one key index and looks its rewrites up
     # in it; the dualizer takes the 2^10 + 1 keys as they are, with no
     # antichain pass and so no index of its own. The certificate index
-    # of the key minimizations, kept on the compiled engine of the
-    # augmented base, is counted apart.
-    made, queried, bases = [], [], []
+    # that the saturation hands to its key minimizations is counted apart.
+    made, queried, certificates = [], [], []
     init, query = SubsetIndex.__init__, SubsetIndex.has_subset_of
+    minimize = keys_module._minimize_mask
 
     def counted_init(self, *args, **kwargs):
         made.append(self)
@@ -221,16 +220,16 @@ def test_keys_reach_the_dualizer_without_a_second_subset_index(monkeypatch):
         queried.append(self)
         return query(self, mask)
 
-    def captured_keys(base, *args, **kwargs):
-        bases.append(base)
-        return enumerate_keys(base, *args, **kwargs)
+    def captured_minimize(ch, full, mask, proper):
+        certificates.append(proper)
+        return minimize(ch, full, mask, proper)
 
     monkeypatch.setattr(SubsetIndex, "__init__", counted_init)
     monkeypatch.setattr(SubsetIndex, "has_subset_of", counted_query)
-    monkeypatch.setattr(solver_module, "enumerate_keys", captured_keys)
+    monkeypatch.setattr(keys_module, "_minimize_mask", captured_minimize)
     solve(*gen_exponential(10))
-    (augmented,) = bases
-    certificate = _chainer(augmented).proper_closed
+    certificate = certificates[0]
+    assert all(c is certificate for c in certificates)
     assert certificate in made
     calls = {
         "init": sum(ix is not certificate for ix in made),
