@@ -24,7 +24,7 @@ def main():
     print("fixed posets:")
     for name, poset in (("5-chain", chain), ("5-fence", fence)):
         base = gen_poset_convexity(poset)
-        print(f"  {name}: {len(base.implications)} betweenness rules,"
+        print(f"  {name}: {len(base.rules)} betweenness rules,"
               f" largest minimal generator {caratheodory_number(base)}")
 
     rng = random.Random(11)
@@ -39,7 +39,7 @@ def main():
     # hypotheses hold, so the bound is checked, past the 20 elements
     # where the exhaustive checks stop.
     big = gen_poset_convexity(gen_random_poset(40, 1))
-    print(f"\nrandom 40-element poset, {len(big.implications)} betweenness rules:"
+    print(f"\nrandom 40-element poset, {len(big.rules)} betweenness rules:"
           f" logarithmic bound holds = {verify_log_bound(big)}")
 
     base = gen_poset_convexity(chain)

@@ -24,7 +24,7 @@ def main():
         keys = enumerate_keys(augment_with_inconsistency(base, graph))
         result = solve(base, graph)
         elapsed = time.perf_counter() - start
-        print(f"{n:>3} {base.ground.n:>9} {len(base.implications):>6} "
+        print(f"{n:>3} {base.ground.n:>9} {len(base.rules):>6} "
               f"{len(keys):>6} {len(result.sets):>10} {elapsed:>8.3f}")
     print("\nkeys grow as 2^n + 1; the instance itself only adds two"
           " elements and one rule per step.")

@@ -10,6 +10,7 @@ enumerates its maximal conflict-free closed sets.
 """
 
 from conclose.analysis import arrow_relations, d_relation, has_d_cycle
+from conclose.core import ElemSet
 from conclose.generators import CnfFormula, gen_cnf_lower_bounded, gen_reduction
 from conclose.solver import solve
 
@@ -22,8 +23,8 @@ def main():
     print(f"formula: {FORMULA.clauses} over x1..x{FORMULA.n_vars}")
     print(f"encoded ground set: {' '.join(g.labels)}")
     print("rules:")
-    for imp in base.implications:
-        print(f"  {imp.premise.to_text()} -> {imp.conclusion.to_text()}")
+    for p, c in base.rules:
+        print(f"  {ElemSet(g, p).to_text()} -> {ElemSet(g, c).to_text()}")
 
     cyclic, witness = has_d_cycle(base)
     rel = d_relation(base)

@@ -25,7 +25,7 @@ from conclose.generators import gen_fano
 def main():
     base = gen_fano()
     g = base.ground
-    print(f"ground set: {g.n} points, {len(base.implications)} collinearity rules\n")
+    print(f"ground set: {g.n} points, {len(base.rules)} collinearity rules\n")
 
     for name, check in (
         ("atomistic", check_atomistic),

@@ -8,7 +8,7 @@ conflict-free closed sets obtained as independent sets of the key
 hypergraph.
 """
 
-from conclose import parse_instance
+from conclose import ElemSet, parse_instance
 from conclose.closure import close, enumerate_closed_sets
 from conclose.keys import augment_with_inconsistency, enumerate_keys
 from conclose.solver import brute_force_solve, co_atoms, solve
@@ -41,8 +41,9 @@ def main():
 
     augmented = augment_with_inconsistency(base, graph)
     print("\naugmented base (conflict edges become rules forcing everything):")
-    for imp in augmented.implications:
-        print(f"  {imp.premise.to_text()} -> {imp.conclusion.to_text()}")
+    g = augmented.ground
+    for p, c in augmented.rules:
+        print(f"  {ElemSet(g, p).to_text()} -> {ElemSet(g, c).to_text()}")
 
     keys = enumerate_keys(augmented)
     print(f"\nminimal keys of the augmented base ({len(keys)}):")

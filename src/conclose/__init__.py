@@ -30,9 +30,8 @@ _EXPORTS = {
     ),
     "core": (
         "EXHAUSTIVE_LIMIT", "KEY_CAP", "MAX_GROUND", "MIS_CAP", "ConsistencyGraph",
-        "ElemSet", "GroundSet", "Implication", "ImplicationalBase", "ValidationReport",
-        "format_instance", "format_sets", "load_instance", "parse_instance",
-        "validate_instance",
+        "ElemSet", "GroundSet", "ImplicationalBase", "ValidationReport", "format_instance",
+        "format_sets", "load_instance", "parse_instance", "validate_instance",
     ),
     "errors": (
         "ClosureError", "EmptyGraph", "GroundSetTooLarge", "HypothesesNotMet",

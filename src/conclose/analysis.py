@@ -22,6 +22,7 @@ from typing import Any
 
 from .closure import _chainer, _closed_masks, _covers
 from .core import (
+    EXHAUSTIVE_LIMIT,
     ElemSet,
     GroundSet,
     ImplicationalBase,
@@ -145,7 +146,7 @@ def check_distributive(base: ImplicationalBase) -> CheckResult:
     g = base.ground
     bottom = ch.close(0)
     single = [ch.close(1 << i) for i in range(g.n)]
-    for pmask, cmask in ch.rules:
+    for pmask, cmask in zip(ch.premises, ch.conclusions):
         u = bottom
         for p in iter_bits(pmask):
             u |= single[p]
@@ -282,7 +283,12 @@ def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResu
 
 
 def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
-    """Every minimal generator of every element is an independent set."""
+    """Every minimal generator of every element is an independent set.
+
+    A generator above EXHAUSTIVE_LIMIT is skipped while the others are
+    checked, and GroundSetTooLarge is raised only if none of them fails,
+    so the verdict does not depend on element order.
+    """
     # A generator shared by several elements is checked once, and the
     # closures of subsets shared between generators are computed once.
     # An element of close(∅) has the empty key, standing for singletons:
@@ -290,11 +296,15 @@ def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
     g = base.ground
     memo: dict[int, int] = {}
     checked: set[int] = set()
+    refused = 0  # the size of the first generator past the limit
     for x in range(g.n):
         for gen in _element_keys(base, x):
             if gen in checked:
                 continue
             checked.add(gen)
+            if gen.bit_count() > EXHAUSTIVE_LIMIT:
+                refused = refused or gen.bit_count()
+                continue
             res = _check_independent(base, gen, memo)
             if not res.ok:
                 gen_set = ElemSet(g, gen)
@@ -304,6 +314,7 @@ def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
                     f"minimal generator {gen_set!r} of {g.labels[x]} is not independent: "
                     + res.detail,
                 )
+    _refuse_past_exhaustive_limit(refused)
     return CheckResult(True)
 
 

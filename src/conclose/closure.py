@@ -32,21 +32,21 @@ from .errors import MismatchedGroundSets, NotClosed
 class _Chainer:
     """Forward-chaining engine compiled from one base.
 
-    Rules that share a premise are merged into one ``(premise,
-    conclusion)`` pair with the conclusions OR-ed together, so ``rules``
-    holds one pair per distinct premise; ``base_fire`` is the merged
-    conclusion of the empty premise, present in every closure.
-    ``premise_sizes``, ``conclusions`` and ``occurs`` are indexed over
-    ``rules``, and ``occurs[i]`` lists the rules whose premise contains
-    element i. grow() counts premise elements down as they are reached,
-    fires a rule exactly once when its counter hits zero, and returns as
-    soon as the result is the full set; close() runs it from fresh
-    counters. ``element_keys`` maps an element x to the key masks of the
-    base plus ``{x} -> everything``, filled on demand by keys.py.
+    Rules that share a premise are merged into one rule with the
+    conclusions OR-ed together: rule j has premise ``premises[j]`` and
+    conclusion ``conclusions[j]``, one per distinct premise, and
+    ``premise_sizes`` and ``occurs`` are indexed the same way;
+    ``base_fire`` is the merged conclusion of the empty premise, present
+    in every closure, and ``occurs[i]`` lists the rules whose premise
+    contains element i. grow() counts premise elements down as they are
+    reached, fires a rule exactly once when its counter hits zero, and
+    returns as soon as the result is the full set; close() runs it from
+    fresh counters. ``element_keys`` maps an element x to the key masks
+    of the base plus ``{x} -> everything``, filled on demand by keys.py.
     """
 
     __slots__ = (
-        "n", "full", "rules", "premise_sizes", "conclusions", "occurs", "base_fire",
+        "n", "full", "premises", "premise_sizes", "conclusions", "occurs", "base_fire",
         "element_keys",
     )
 
@@ -56,12 +56,12 @@ class _Chainer:
         merged: dict[int, int] = {}
         for p, c in base.rules:
             merged[p] = merged.get(p, 0) | c
-        self.rules = list(merged.items())
+        self.premises = list(merged)
+        self.conclusions = list(merged.values())
         self.base_fire = merged.get(0, 0)
-        self.premise_sizes = [p.bit_count() for p, _ in self.rules]
-        self.conclusions = [c for _, c in self.rules]
+        self.premise_sizes = [p.bit_count() for p in self.premises]
         self.occurs = [[] for _ in range(self.n)]
-        for j, (p, _) in enumerate(self.rules):
+        for j, p in enumerate(self.premises):
             for i in iter_bits(p):
                 self.occurs[i].append(j)
         self.element_keys: dict[int, tuple[int, ...]] = {}

@@ -1,4 +1,4 @@
-"""Ground sets, element sets, implications, and consistency graphs.
+"""Ground sets, element sets, implicational bases, and consistency graphs.
 
 Everything downstream works over a fixed GroundSet and treats subsets of
 it as immutable bit vectors (ElemSet). Labels exist only at the I/O
@@ -229,6 +229,8 @@ class ElemSet:
         return bool(self.mask >> index & 1)
 
     def _coerce(self, other: "ElemSet") -> int:
+        if not isinstance(other, ElemSet):
+            raise TypeError(f"expected an ElemSet operand, got {type(other).__name__}")
         if self.ground != other.ground:
             raise MismatchedGroundSets("operands live over different ground sets")
         return other.mask
@@ -277,7 +279,8 @@ class ElemSet:
 
 
 class _Frozen:
-    """Base of the small value classes, in place of frozen dataclasses.
+    """Base of the small value classes, in place of frozen dataclasses:
+    ValidationReport here, SolveStats and SolutionSet in solver.py.
 
     Each field is a slot, set once by ``_set`` in ``__init__``, which
     takes the values in slot order; later assignment raises
@@ -320,80 +323,42 @@ class _Frozen:
         return f"{self.__class__.__name__}({fields})"
 
 
-class Implication(_Frozen):
-    """A rule ``premise -> conclusion`` between sets over one ground set.
-
-    The conclusion must be non-empty; a rule concluding nothing says
-    nothing. Empty premises are legal (they force their conclusion into
-    every closure) but make the system non-standard.
-    """
-
-    __slots__ = ("premise", "conclusion")
-
-    def __init__(self, premise: ElemSet, conclusion: ElemSet):
-        if premise.ground != conclusion.ground:
-            raise MismatchedGroundSets("premise and conclusion over different ground sets")
-        if not conclusion:
-            raise ValueError("implication conclusion must be non-empty")
-        self._set(premise, conclusion)
-
-    def to_text(self) -> str:
-        return f"{self.premise.to_text()} -> {self.conclusion.to_text()}"
-
-    def __repr__(self) -> str:
-        return f"Implication({self.premise.to_text()} -> {self.conclusion.to_text()})"
-
-
 class ImplicationalBase:
-    """An ordered collection of implications over one ground set.
+    """An ordered collection of rules ``premise -> conclusion`` over one ground set.
 
-    The rules are stored as ``rules``, a tuple of ``(premise,
-    conclusion)`` mask pairs; the parser, augmentation and the closure
-    engine read and write only these pairs. The Implication objects of
-    ``implications`` are built from them the first time a caller asks.
+    The rules are given and kept as ``(premise, conclusion)`` int mask
+    pairs over ``ground``, the one rule form: ``rules`` holds them, and
+    the parser, augmentation and the closure engine read and write only
+    these pairs. A conclusion must be non-empty; a rule concluding
+    nothing says nothing. Empty premises are legal (they force their
+    conclusion into every closure) but make the system non-standard.
+    Each pair is checked once, and a conclusion of 0 or a mask that is
+    negative or reaches past the ground set raises ValueError.
     Exact duplicate rules are dropped at construction, keeping the first
     occurrence; the number removed is recorded for validation reports.
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("ground", "rules", "duplicates_removed", "_implications", "_chainer")
+    __slots__ = ("ground", "rules", "duplicates_removed", "_chainer")
 
-    def __init__(self, ground: GroundSet, implications: Iterable[Implication]):
-        pairs = []
-        for imp in implications:
-            if imp.premise.ground != ground:
-                raise MismatchedGroundSets("implication over a different ground set")
-            pairs.append((imp.premise.mask, imp.conclusion.mask))
-        self._store(ground, pairs)
-
-    @classmethod
-    def _from_rules(cls, ground: GroundSet, pairs: list[tuple[int, int]]) -> "ImplicationalBase":
-        # Mask pairs that already fit the ground set and conclude something.
-        base = cls.__new__(cls)
-        base._store(ground, pairs)
-        return base
-
-    def _store(self, ground: GroundSet, pairs: list[tuple[int, int]]) -> None:
+    def __init__(self, ground: GroundSet, rules: Iterable[tuple[int, int]]):
+        n = ground.n
+        pairs = list(rules)
+        for p, c in pairs:
+            # A negative mask has every bit above n set, so one shift
+            # finds it as it finds a mask past the ground set.
+            if not c or (p | c) >> n:
+                raise ValueError(
+                    f"rule ({p!r}, {c!r}) is not a pair of masks over {n} elements "
+                    "with a non-empty conclusion"
+                )
         self.ground = ground
         self.rules = tuple(dict.fromkeys(pairs))  # first occurrences, in order
         self.duplicates_removed = len(pairs) - len(self.rules)
-        self._implications = None
         self._chainer = None  # lazily built forward-chaining engine
-
-    @property
-    def implications(self) -> tuple[Implication, ...]:
-        if self._implications is None:
-            g = self.ground
-            self._implications = tuple(
-                Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in self.rules
-            )
-        return self._implications
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def __iter__(self) -> Iterator[Implication]:
-        return iter(self.implications)
 
     def __eq__(self, other) -> bool:
         return (
@@ -526,8 +491,8 @@ def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
     Raises ParseError with a 1-based line number on any malformed or
     unknown content. Rules with empty conclusions are rejected here as
     vacuous rather than silently kept. Each rule becomes a ``(premise,
-    conclusion)`` mask pair through one label-to-bit dict; no ElemSet or
-    Implication is built, and no rule is checked a second time.
+    conclusion)`` mask pair through one label-to-bit dict, with no
+    ElemSet built, and the ImplicationalBase constructor checks the pairs.
     """
     lines = text.splitlines()
     ground: GroundSet | None = None
@@ -584,7 +549,7 @@ def parse_instance(text: str) -> tuple[ImplicationalBase, ConsistencyGraph]:
         else:
             raise ParseError(no, f"unknown directive {head!r}")
 
-    return ImplicationalBase._from_rules(ground, rules), ConsistencyGraph(ground, edges)
+    return ImplicationalBase(ground, rules), ConsistencyGraph(ground, edges)
 
 
 def load_instance(path) -> tuple[ImplicationalBase, ConsistencyGraph]:

@@ -45,7 +45,7 @@ def gen_reduction(
     # Old indices are preserved by appending, so the old rules keep their masks.
     rules = [*base.rules, (old.full_mask, 0b11 << old.n)]
     graph = ConsistencyGraph(g, [(old.n, old.n + 1)])
-    return ImplicationalBase._from_rules(g, rules), graph
+    return ImplicationalBase(g, rules), graph
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def gen_cnf_lower_bounded(cnf: CnfFormula) -> ImplicationalBase:
     for j, clause in enumerate(cnf.clauses):
         for a in clause:
             rules.append(((1 << (a - 1)) | z, 1 << (n + j)))
-    return ImplicationalBase._from_rules(g, rules)
+    return ImplicationalBase(g, rules)
 
 
 def gen_exponential(n: int) -> tuple[ImplicationalBase, ConsistencyGraph]:
@@ -161,7 +161,7 @@ def gen_exponential(n: int) -> tuple[ImplicationalBase, ConsistencyGraph]:
     rules = [(1 << i, 1 << (n + i)) for i in range(n)]
     rules.append((((1 << n) - 1) << n, 0b11 << (2 * n)))
     graph = ConsistencyGraph(g, [(2 * n, 2 * n + 1)])
-    return ImplicationalBase._from_rules(g, rules), graph
+    return ImplicationalBase(g, rules), graph
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def gen_poset_convexity(poset: Poset) -> ImplicationalBase:
             for y in range(n):
                 if poset.less(x, y) and poset.less(y, z):
                     rules.append(((1 << x) | (1 << z), 1 << y))
-    return ImplicationalBase._from_rules(g, rules)
+    return ImplicationalBase(g, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def gen_projective_gf2(dim: int) -> ImplicationalBase:
     for p in range(1, count + 1):  # point p is element p - 1
         for q in range(p + 1, count + 1):
             rules.append(((1 << (p - 1)) | (1 << (q - 1)), 1 << ((p ^ q) - 1)))
-    return ImplicationalBase._from_rules(g, rules)
+    return ImplicationalBase(g, rules)
 
 
 def gen_fano() -> ImplicationalBase:
@@ -339,4 +339,4 @@ def gen_random(
 
     all_pairs = list(itertools.combinations(range(n), 2))
     edges = rng.sample(all_pairs, n_edges)
-    return ImplicationalBase._from_rules(g, rules), ConsistencyGraph(g, edges)
+    return ImplicationalBase(g, rules), ConsistencyGraph(g, edges)

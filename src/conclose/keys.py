@@ -8,10 +8,10 @@ rewritten superkey obtained by swapping the met part for the premise.
 The loop runs FIFO and stops when no rewrite escapes the known keys;
 a packed core.SubsetIndex over the known keys answers that test.
 
-Rewrites use the compiled rules of the closure engine, one per distinct
-premise. That is still complete, since the merged rules form an
-equivalent base, and each merged rewrite lies inside the rewrites of the
-rules it merges. A rewrite is looked up at most once: the index only
+Rewrites use the compiled rules of the closure engine, its ``premises``
+and ``conclusions`` lists with one rule per distinct premise. That is
+still complete, since the merged rules form an equivalent base, and
+each merged rewrite lies inside the rewrites of the rules it merges. A rewrite is looked up at most once: the index only
 grows, so a rewrite found covered stays covered, and a minimized one
 left a subset of itself in the index.
 
@@ -76,7 +76,7 @@ from .errors import (
 def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
     # The base plus one rule per premise mask that forces the full set.
     full = base.ground.full_mask
-    return ImplicationalBase._from_rules(base.ground, [*base.rules, *((p, full) for p in premises)])
+    return ImplicationalBase(base.ground, [*base.rules, *((p, full) for p in premises)])
 
 
 def augment_with_inconsistency(
@@ -140,16 +140,16 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
     g = base.ground
     ch = _chainer(base)
     full = g.full_mask
-    rules = ch.rules
+    premises, conclusions = ch.premises, ch.conclusions
     holds = [0] * g.n  # holds[i]: the rules whose premise holds element i, one bit per rule
     meets = [0] * g.n  # meets[i]: the rules whose conclusion holds element i
-    for j, (pmask, cmask) in enumerate(rules):
+    for j, (pmask, cmask) in enumerate(zip(premises, conclusions)):
         bit = 1 << j
         for i in iter_bits(pmask):
             holds[i] |= bit
         for i in iter_bits(cmask):
             meets[i] |= bit
-    live = (1 << len(rules)) - 1  # the rules not yet retired
+    live = (1 << len(premises)) - 1  # the rules not yet retired
     found: list[int] = []
     index = SubsetIndex(g.n)
     proper = SubsetIndex(g.n)  # the minimizations' certificate, filled by the first
@@ -182,8 +182,8 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
         while todo:
             low = todo & -todo
             todo ^= low
-            pmask, cmask = rules[low.bit_length() - 1]
-            s = pmask | (k & ~cmask)
+            j = low.bit_length() - 1
+            s = premises[j] | (k & ~conclusions[j])
             if s in tried:
                 continue
             tried.add(s)

@@ -16,6 +16,15 @@ edge: 2 4
 edge: 2 5
 """
 
+# One base listed in two element orders: z has a 21-element minimal
+# generator, past the exhaustive limit of the independence check, and
+# {a b}, a minimal generator of x, is not independent.
+_WIDE = " ".join(f"e{i}" for i in range(21))
+WIDE_BESIDE_A_FAILURE = tuple(
+    f"elements: {elements}\nimp: {_WIDE} -> z\nimp: a -> c\nimp: b -> c\nimp: a b -> x\n"
+    for elements in (f"{_WIDE} z a b c x", f"a b c x {_WIDE} z")
+)
+
 
 @pytest.fixture(scope="session")
 def demo():

@@ -9,9 +9,11 @@ from itertools import chain, combinations
 
 
 def rule_pairs(base):
+    labels = base.ground.labels
     return [
-        (frozenset(imp.premise.labels()), frozenset(imp.conclusion.labels()))
-        for imp in base
+        (frozenset(labels[i] for i in range(len(labels)) if p >> i & 1),
+         frozenset(labels[i] for i in range(len(labels)) if c >> i & 1))
+        for p, c in base.rules
     ]
 
 

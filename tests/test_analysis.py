@@ -49,6 +49,7 @@ from conclose import (
     parse_instance,
     verify_log_bound,
 )
+from conftest import WIDE_BESIDE_A_FAILURE
 from oracles import (
     labelset,
     naive_arrows,
@@ -362,6 +363,23 @@ def test_analyze_reports_generator_independence_na_past_the_limit():
     assert rep.to_dict()["mingen_all_independent"] is None
     assert "min generators independent : n/a" in rep.render_text().splitlines()
     assert rep.caratheodory == EXHAUSTIVE_LIMIT + 1
+
+
+def test_generator_independence_verdict_ignores_element_order():
+    # A generator past the limit is skipped while the others are checked,
+    # so the failing {a b} decides the verdict whichever comes first.
+    detail = (
+        "minimal generator {a b} of x is not independent: closure of the "
+        "intersection of {b} and {a} differs from the intersection of closures"
+    )
+    for text in WIDE_BESIDE_A_FAILURE:
+        base = parse_instance(text)[0]
+        res = check_mingen_independence(base)
+        assert not res.ok and res.detail == detail
+        assert res.witness[1].labels() == ("a", "b")
+        rep = analyze(base)
+        assert rep.mingen_all_independent is False
+        assert rep.witnesses["mingen_independence"] == detail
 
 
 def test_mingen_independence_failure_names_the_generator():

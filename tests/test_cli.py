@@ -16,7 +16,7 @@ from conclose.cli import main
 from conclose.core import format_instance, load_instance, validate_instance
 from conclose.generators import gen_random
 
-from conftest import DEMO_TEXT
+from conftest import DEMO_TEXT, WIDE_BESIDE_A_FAILURE
 
 DEMO_SOLUTIONS_TEXT = "1 2 3\n3 5\n1 4 5\n"
 
@@ -419,6 +419,23 @@ def test_analyze_reports_generator_independence_na_past_the_limit(capsys, tmp_pa
         "21 elements exceeds the exhaustive limit of 20"
     )
     assert payload["witnesses"]["modular"] == "22 elements exceeds the exhaustive limit of 20"
+
+
+def test_analyze_generator_independence_ignores_element_order(capsys, tmp_path):
+    # The same base with its 21-element generator listed first or last:
+    # both orders report the failing generator {a b}, none reports n/a.
+    witness = (
+        "witness[mingen_independence] : minimal generator {a b} of x is not independent: "
+        "closure of the intersection of {b} and {a} differs from the intersection of closures"
+    )
+    for i, text in enumerate(WIDE_BESIDE_A_FAILURE):
+        p = tmp_path / f"wide_{i}.txt"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(p))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "min generators independent : no" in lines
+        assert witness in lines
 
 
 def test_oracle_with_a_zero_key_cap_leaves_agreement_unchecked(capsys, demo_file):

@@ -2,6 +2,7 @@ import argparse
 import copy
 import importlib
 import inspect
+import operator
 import pickle
 import pkgutil
 import random
@@ -15,7 +16,6 @@ from conclose import (
     ConsistencyGraph,
     ElemSet,
     GroundSet,
-    Implication,
     ImplicationalBase,
     MismatchedGroundSets,
     ParseError,
@@ -166,7 +166,8 @@ def test_elemset_ordering_is_subset_not_total():
 
 def test_elemset_reflected_comparisons():
     # ``>=`` and ``>`` are ``<=`` and ``<`` with the operands swapped,
-    # foreign grounds included; a non-set operand is a TypeError.
+    # foreign grounds included; a non-set operand of a comparison or a
+    # set operator, on either side, is a TypeError.
     g = GroundSet(["a", "b"])
     a, ab = g.set_of("a"), g.full()
     assert ab >= a and ab >= ab and not a >= ab and not a >= g.set_of("b")
@@ -175,9 +176,15 @@ def test_elemset_reflected_comparisons():
     for compare in (lambda x, y: x >= y, lambda x, y: x > y):
         with pytest.raises(MismatchedGroundSets):
             compare(ab, foreign)
-        for other in (3, None):
+    for op in (
+        operator.le, operator.lt, operator.ge, operator.gt,
+        operator.or_, operator.and_, operator.sub, operator.xor,
+    ):
+        for other in (0, 3, None):
             with pytest.raises(TypeError):
-                compare(ab, other)
+                op(ab, other)
+            with pytest.raises(TypeError):
+                op(other, ab)
 
 
 def test_elemset_add_remove():
@@ -197,52 +204,56 @@ def test_elemset_mixed_grounds_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Implication / ImplicationalBase
+# ImplicationalBase
 
 
 def test_implication_requires_conclusion():
     g = GroundSet(["a", "b"])
-    with pytest.raises(ValueError):
-        Implication(g.set_of("a"), g.empty())
+    with pytest.raises(ValueError, match="with a non-empty conclusion"):
+        ImplicationalBase(g, [(0b01, 0)])
 
 
-def test_implication_text():
+def test_base_rejects_masks_off_the_ground_set():
+    # A negative mask or one past the ground set, in either place, is a
+    # ValueError; ElemSet pairs are not masks and raise TypeError.
     g = GroundSet(["a", "b"])
-    imp = Implication(g.set_of("a"), g.set_of("b"))
-    assert imp.to_text() == "a -> b"
+    for rule in ((-1, 0b10), (0b01, -2), (0b100, 0b01), (0b01, 0b100)):
+        with pytest.raises(ValueError, match="is not a pair of masks over 2 elements"):
+            ImplicationalBase(g, [(0b01, 0b10), rule])
+    a, b = g.set_of("a"), g.set_of("b")
+    for rule in ((a, b), (a, 0b10), (0b01, b)):
+        with pytest.raises(TypeError):
+            ImplicationalBase(g, [rule])
 
 
 def test_base_drops_exact_duplicates_keeps_order():
     g = GroundSet(["a", "b", "c"])
-    i1 = Implication(g.set_of("a"), g.set_of("b"))
-    i2 = Implication(g.set_of("b"), g.set_of("c"))
-    base = ImplicationalBase(g, [i1, i2, i1, i2, i1])
-    assert list(base) == [i1, i2]
+    r1, r2 = (0b001, 0b010), (0b010, 0b100)
+    base = ImplicationalBase(g, iter([r1, r2, r1, r2, r1]))
+    assert base.rules == (r1, r2)
     assert base.duplicates_removed == 3
     assert len(base) == 2
 
 
 def test_value_classes_are_frozen_records(demo_base, demo_graph):
-    # Implication, ValidationReport, SolveStats and SolutionSet are plain
-    # slotted classes: fields are read-only, equality and hashing go by
-    # field values within one class, and copies keep every field.
+    # ValidationReport, SolveStats and SolutionSet are plain slotted
+    # classes: fields are read-only, equality and hashing go by field
+    # values within one class, and copies keep every field.
     g = GroundSet(["a", "b"])
-    imp = Implication(g.set_of("a"), g.set_of("b"))
     report = validate_instance(demo_base, demo_graph)
     stats = SolveStats(key_count=2, seconds={"keys": 0.5})
     sol = SolutionSet(g, (g.set_of("a"),), stats)
-    for obj, field in ((imp, "premise"), (report, "n_edges"), (stats, "key_count"), (sol, "sets")):
+    for obj, field in ((report, "n_edges"), (stats, "key_count"), (sol, "sets")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
         with pytest.raises(AttributeError):
             delattr(obj, field)
         assert copy.deepcopy(obj) == obj
         assert pickle.loads(pickle.dumps(obj)) == obj
-    assert imp == Implication(g.set_of("a"), g.set_of("b")) != Implication(g.set_of("b"), g.set_of("a"))
-    assert hash(imp) == hash(Implication(g.set_of("a"), g.set_of("b")))
     assert report == validate_instance(demo_base, demo_graph)
+    assert hash(report) == hash(validate_instance(demo_base, demo_graph))
     assert report.empty_premises == () and report.n_edges == 3
-    assert imp != (imp.premise, imp.conclusion)
+    assert stats != (stats.key_count, stats.seconds)
     # SolutionSet equality and hashing ignore the run's stats.
     assert sol == SolutionSet(g, (g.set_of("a"),))
     assert hash(sol) == hash(SolutionSet(g, (g.set_of("a"),), SolveStats()))
@@ -254,10 +265,10 @@ def test_value_classes_are_frozen_records(demo_base, demo_graph):
 
 def test_base_equality_and_hash():
     g = GroundSet(["a", "b"])
-    i1 = Implication(g.set_of("a"), g.set_of("b"))
-    assert ImplicationalBase(g, [i1]) == ImplicationalBase(g, [i1, i1])
-    assert hash(ImplicationalBase(g, [i1])) == hash(ImplicationalBase(g, [i1]))
-    assert ImplicationalBase(g, [i1]) != ImplicationalBase(g, [])
+    rule = (0b01, 0b10)
+    assert ImplicationalBase(g, [rule]) == ImplicationalBase(g, [rule, rule])
+    assert hash(ImplicationalBase(g, [rule])) == hash(ImplicationalBase(g, [rule]))
+    assert ImplicationalBase(g, [rule]) != ImplicationalBase(g, [])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +304,7 @@ def test_parse_demo_instance(demo_base, demo_graph):
     assert demo_base.ground.labels == ("1", "2", "3", "4", "5")
     assert len(demo_base) == 4
     assert len(demo_graph) == 3
-    assert demo_base.implications[3].to_text() == "4 -> 1"
+    assert demo_base.rules[3] == (1 << 3, 1 << 0)  # 4 -> 1
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -305,8 +316,7 @@ def test_parse_accepts_comments_and_blanks():
 
 def test_parse_empty_premise_allowed():
     base, _ = parse_instance("elements: a b\nimp: -> a\n")
-    assert base.implications[0].premise.mask == 0
-    assert base.implications[0].conclusion.labels() == ("a",)
+    assert base.rules == ((0, 0b01),)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -432,17 +442,15 @@ _G, _OG = _BASE.ground, _OTHER.ground
          MismatchedGroundSets, "candidate over a different ground set"),
         (lambda: _G.from_indices([0, 2]), ValueError, "element index 2 out of range"),
         (lambda: ElemSet(_G, 4), ValueError, "mask 0x4 does not fit a 2-element ground set"),
-        (lambda: Implication(_G.set_of("a"), _OG.set_of("c")),
-         MismatchedGroundSets, "premise and conclusion over different ground sets"),
-        (lambda: ImplicationalBase(_G, [Implication(_OG.set_of("a"), _OG.set_of("c"))]),
-         MismatchedGroundSets, "implication over a different ground set"),
+        (lambda: ImplicationalBase(_G, [(0b01, 0b100)]),
+         ValueError, "rule \\(1, 4\\) is not a pair of masks over 2 elements"),
         (lambda: ConsistencyGraph(_G, [(0, 2)]), ValueError, r"edge \(0, 2\) out of range"),
         (lambda: format_instance(_BASE, _OTHER_GRAPH),
          MismatchedGroundSets, "base and graph ground sets differ"),
     ],
     ids=[
         "augment_with_inconsistency", "minimize_superkey", "key_decomposition", "solve",
-        "is_solution", "from_indices", "ElemSet", "Implication", "ImplicationalBase",
+        "is_solution", "from_indices", "ElemSet", "ImplicationalBase",
         "ConsistencyGraph", "format_instance",
     ],
 )

@@ -136,7 +136,7 @@ def test_cnf_base_single_clause_exact_rules():
 def test_cnf_base_no_clauses():
     base = gen_cnf_lower_bounded(CnfFormula(3, ()))
     assert base.ground.labels == ("x1", "x2", "x3", "z")
-    assert len(base.implications) == 0
+    assert len(base.rules) == 0
 
 
 def test_cnf_base_is_standard_and_acyclic():
@@ -200,7 +200,7 @@ def test_convexity_base_three_chain():
 
 def test_convexity_base_antichain_is_empty():
     base = gen_poset_convexity(Poset.antichain("abcd"))
-    assert len(base.implications) == 0
+    assert len(base.rules) == 0
 
 
 def _is_convex(poset, members):
@@ -238,13 +238,13 @@ def test_fano_is_dim_two_geometry():
     assert fano.ground.labels == plane.ground.labels == tuple(str(i) for i in range(1, 8))
     assert rule_pairs(fano) == rule_pairs(plane)
     # 7 lines, 3 point pairs each
-    assert len(fano.implications) == 21
+    assert len(fano.rules) == 21
 
 
 def test_projective_dim_three_shape():
     base = gen_projective_gf2(3)
     assert base.ground.n == 15
-    assert len(base.implications) == 15 * 14 // 2
+    assert len(base.rules) == 15 * 14 // 2
     # spot check one collinearity rule: 3 ^ 5 = 6
     assert (frozenset({"3", "5"}), frozenset({"6"})) in rule_pairs(base)
 
@@ -338,9 +338,8 @@ def test_parsed_text_matches_the_generated_base(family):
     parsed, parsed_graph = parse_instance(format_instance(base, graph))
     assert parsed.rules == base.rules
     assert all(isinstance(m, int) for rule in parsed.rules for m in rule)
-    assert parsed.implications == base.implications
     assert parsed.duplicates_removed == base.duplicates_removed == 0
     assert parsed == base and hash(parsed) == hash(base)
-    assert ImplicationalBase(base.ground, base.implications) == base
+    assert ImplicationalBase(base.ground, base.rules) == base
     if graph is not None:
         assert parsed_graph == graph

@@ -5,6 +5,7 @@ import pytest
 
 from conclose import (
     ConsistencyGraph,
+    ElemSet,
     EmptyGraph,
     ImplicationalBase,
     NoDecomposition,
@@ -44,11 +45,11 @@ DEMO_KEYS = {
 def test_augment_adds_one_rule_per_edge(demo_base, demo_graph):
     aug = augment_with_inconsistency(demo_base, demo_graph)
     assert len(aug) == 7
-    extra = aug.implications[4:]
+    extra = aug.rules[4:]
     g = demo_base.ground
     # edge rules follow the graph's normalized edge order
-    assert [imp.premise.labels() for imp in extra] == [("2", "4"), ("2", "5"), ("3", "4")]
-    assert all(imp.conclusion == g.full() for imp in extra)
+    assert [ElemSet(g, p).labels() for p, _ in extra] == [("2", "4"), ("2", "5"), ("3", "4")]
+    assert all(c == g.full_mask for _, c in extra)
 
 
 def test_augment_requires_edges(demo_base, demo_graph):
@@ -62,7 +63,7 @@ def test_augment_of_empty_base():
     base, graph = parse_instance("elements: a b\nedge: a b\n")
     aug = augment_with_inconsistency(base, graph)
     assert len(aug) == 1
-    assert aug.implications[0].to_text() == "a b -> a b"
+    assert aug.rules == ((0b11, 0b11),)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,10 @@ def test_saturation_work_guards(monkeypatch):
     ch = _chainer(base)
     # One compiled rule per distinct premise, conclusions merged.
     merged: dict[int, int] = {}
-    for imp in base:
-        merged[imp.premise.mask] = merged.get(imp.premise.mask, 0) | imp.conclusion.mask
-    assert len(ch.rules) == len(merged) < len(base)
-    assert dict(ch.rules) == merged
+    for p, c in base.rules:
+        merged[p] = merged.get(p, 0) | c
+    assert len(ch.premises) == len(merged) < len(base)
+    assert dict(zip(ch.premises, ch.conclusions)) == merged
 
     aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))
     looked_up = Counter()
@@ -326,7 +327,7 @@ def test_minimizing_first_leaves_saturation_work_unchanged(monkeypatch):
     # call on the same base beforehand leaves nothing behind: the
     # saturation still makes its 24 closures and finds the same keys.
     aug = augment_with_inconsistency(*gen_exponential(10))
-    alone = enumerate_keys(ImplicationalBase(aug.ground, aug))
+    alone = enumerate_keys(ImplicationalBase(aug.ground, aug.rules))
     assert minimize_superkey(aug, aug.ground.full()) in alone
     calls = 0
     close = _Chainer.close

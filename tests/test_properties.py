@@ -17,7 +17,6 @@ from conclose import (
     ConsistencyGraph,
     ElemSet,
     GroundSet,
-    Implication,
     ImplicationalBase,
     augment_with_inconsistency,
     brute_force_keys,
@@ -139,8 +138,8 @@ def instances(draw, max_n=16):
     # At least n rules keep the closed-set family, which the oracle
     # walks, small at n=16.
     rules = draw(st.lists(rule, min_size=n, max_size=2 * n))
-    imps = [
-        Implication(g.from_indices(p), g.from_indices(c))
+    masks = [
+        (g.from_indices(p).mask, g.from_indices(c).mask)
         for p, c in rules
         if not set(c) <= set(p)
     ]
@@ -149,7 +148,7 @@ def instances(draw, max_n=16):
     # Self-loop pairs are dropped; keep at least one real edge.
     if not graph.edges:
         graph = ConsistencyGraph(g, [(0, 1)])
-    return ImplicationalBase(g, imps), graph
+    return ImplicationalBase(g, masks), graph
 
 
 @PIPELINE
@@ -287,19 +286,18 @@ def shared_premise_instances(draw, max_n=12):
     rules = draw(
         st.lists(st.tuples(st.sampled_from(pool), st.integers(1, full)), max_size=3 * n)
     )
-    imps = [Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in rules]
     element = st.integers(0, n - 1)
     graph = ConsistencyGraph(g, draw(st.lists(st.tuples(element, element), max_size=n)))
-    return ImplicationalBase(g, imps), graph
+    return ImplicationalBase(g, rules), graph
 
 
 def fixpoint_closure(base, mask):
     """Apply every rule whose premise holds until nothing changes."""
     while True:
         grown = mask
-        for imp in base:
-            if imp.premise.mask & ~grown == 0:
-                grown |= imp.conclusion.mask
+        for p, c in base.rules:
+            if p & ~grown == 0:
+                grown |= c
         if grown == mask:
             return mask
         mask = grown
@@ -572,6 +570,6 @@ def test_format_parse_round_trip(labels, data):
     element = st.integers(0, g.n - 1)
     mask = st.integers(0, g.full_mask)
     rules = data.draw(st.lists(st.tuples(mask, mask.filter(bool)), max_size=6))
-    base = ImplicationalBase(g, [Implication(ElemSet(g, p), ElemSet(g, c)) for p, c in rules])
+    base = ImplicationalBase(g, rules)
     graph = ConsistencyGraph(g, data.draw(st.lists(st.tuples(element, element), max_size=6)))
     assert parse_instance(format_instance(base, graph)) == (base, graph)
