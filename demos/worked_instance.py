@@ -55,7 +55,7 @@ def main():
           " (independent sets of the key hypergraph):")
     for s in result.sets:
         print(f"  {s.to_text()}")
-    print(f"stats: {result.stats.to_dict()}")
+    print(f"stats: keys={result.stats.key_count}")
 
     oracle = brute_force_solve(base, graph)
     print(f"\nbrute force agrees: {tuple(oracle.sets) == tuple(result.sets)}")

@@ -256,7 +256,7 @@ def _check_independent(base: ImplicationalBase, mask: int, memo: dict[int, int] 
 
 def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
     """Chain form of independence: each prefix closure meets the next
-    element's closure in the empty set.
+    element's closure in cl(∅), the closure of their empty intersection.
 
     In modular systems this single chain, taken in index order, is
     equivalent to full subset-pair independence.
@@ -265,13 +265,14 @@ def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResu
         raise MismatchedGroundSets("set and base over different ground sets")
     ch = _chainer(base)
     g = base.ground
+    bottom = ch.close(0)
     elems = list(iter_bits(subset.mask))
     prefix = 0
     for i in range(len(elems) - 1):
         prefix |= 1 << elems[i]
         nxt = 1 << elems[i + 1]
         meet = ch.close(prefix) & ch.close(nxt)
-        if meet:
+        if meet != bottom:
             return CheckResult(
                 False,
                 (ElemSet(g, prefix), elems[i + 1], ElemSet(g, meet)),

@@ -70,24 +70,21 @@ def iter_bits(mask: int) -> Iterator[int]:
 class SubsetIndex:
     """Subsets of an n-element ground set, asked "is some stored set inside c?".
 
-    All sets live in one int: set j fills the n-bit slot at offset
-    j*(n+1), under a guard bit. A query keeps each slot's elements
-    outside ``c`` (one multiply and one AND), then subtracts the result
-    from the guards: a guard survives exactly where its slot was zero,
-    that is, where the stored set lies inside ``c``. That is a few
-    big-int operations per query instead of a Python loop over the sets.
+    The index starts empty and grows by ``add``. All sets live in one
+    int: set j fills the n-bit slot at offset j*(n+1), under a guard
+    bit. A query keeps each slot's elements outside ``c`` (one multiply
+    and one AND), then subtracts the result from the guards: a guard
+    survives exactly where its slot was zero, that is, where the stored
+    set lies inside ``c``. That is a few big-int operations per query
+    instead of a Python loop over the sets.
     """
 
     __slots__ = ("n", "count", "packed", "ones", "guards")
 
-    def __init__(self, n: int, masks: Iterable[int] = ()):
-        masks = list(masks)
+    def __init__(self, n: int):
         self.n = n
-        self.count = len(masks)
-        # int() parses a binary string in linear time; add() per set is quadratic.
-        self.packed = int("0" + "".join(format(m, f"0{n + 1}b") for m in reversed(masks)), 2)
-        self.ones = int("0" + ("0" * n + "1") * self.count, 2)  # bit 0 of every slot
-        self.guards = self.ones << n
+        self.count = 0
+        self.packed = self.ones = self.guards = 0  # ones: bit 0 of every slot
 
     def add(self, mask: int) -> None:
         shift = self.count * (self.n + 1)
@@ -377,7 +374,7 @@ class ImplicationalBase:
 class ConsistencyGraph:
     """An irreflexive, symmetric conflict relation on the ground set.
 
-    Edges are stored as normalized index pairs (low, high), sorted.
+    Edges are int index pairs, stored normalized as (low, high), sorted.
     Self-loop pairs are dropped at construction and counted, mirroring
     duplicate handling in ImplicationalBase.
     """
@@ -389,6 +386,8 @@ class ConsistencyGraph:
         loops = 0
         normalized: set[tuple[int, int]] = set()
         for u, v in pairs:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise TypeError(f"edge ({u!r}, {v!r}) endpoints must be int indices")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:

@@ -197,7 +197,9 @@ def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: Ele
     m = candidate.mask
     if ch.close(m) != m:
         return False
-    edges = SubsetIndex(base.ground.n, ((1 << u) | (1 << v) for u, v in graph.edges))
+    edges = SubsetIndex(base.ground.n)
+    for u, v in graph.edges:
+        edges.add(1 << u | 1 << v)
     if edges.has_subset_of(m):
         return False
     return all(edges.has_subset_of(ch.close(m | 1 << i)) for i in iter_bits(ch.full & ~m))

@@ -2,16 +2,17 @@
 
 A hypergraph is an n-element ground set and an iterable of edge masks,
 read once; sets go in and come out as masks, so lectic order is integer
-order. Maximal independent sets are the complements of the minimal
-transversals. Transversals are enumerated by the depth-first MMCS search
-of Murakami and Uno, which keeps per chosen vertex the edges only it
-hits, so it needs space polynomial in the input and stores nothing but
-its output; the results are sorted into lectic order at the end. The
-edges need not be an antichain: repeats are dropped, and when an edge A
-lies inside an edge B that is critical for a chosen vertex v, A meets
-the chosen set only in v and is critical for v too, so nested edges
-change no answer. An empty edge is hit by nothing, so it leaves no
-transversal and no independent set.
+order. The one function, maximal_independent_sets, runs the depth-first
+MMCS search of Murakami and Uno for the minimal transversals and stores
+the complement of each, a maximal independent set, as it is found. The
+search keeps per chosen vertex the edges only it hits, so it needs space
+polynomial in the input and stores nothing but its output; the results
+are sorted into lectic order at the end. The edges need not be an
+antichain: repeats are dropped, and when an edge A lies inside an edge B
+that is critical for a chosen vertex v, A meets the chosen set only in v
+and is critical for v too, so nested edges change no answer. An empty
+edge is hit by nothing, so it leaves no transversal and no independent
+set.
 
 A singleton edge {v} forces v into every transversal, and v keeps that
 edge as its own critical edge whatever else is chosen. So v starts
@@ -30,19 +31,20 @@ from .core import MIS_CAP, iter_bits
 from .errors import OutputLimitExceeded
 
 
-def _minimal_transversals(n: int, masks: Iterable[int], cap: int) -> list[int]:
-    """All inclusion-minimal sets meeting every edge, in no set order.
+def maximal_independent_sets(n: int, masks: Iterable[int], cap: int = MIS_CAP) -> list[int]:
+    """All maximal edge-free subsets of an n-element ground set, in lectic order.
 
-    Depth-first MMCS search (Murakami & Uno 2014). Edge i is bit i of an
+    Depth-first MMCS search (Murakami & Uno 2014) for the minimal
+    transversals, whose complements these are. Edge i is bit i of an
     edge mask, edges taken by (size, mask), and ``occ[v]`` masks the
     edges holding vertex v. A node keeps the chosen vertices, the
     uncovered edges, and per chosen vertex its critical edges: the edges
     it alone hits. A vertex joins only if every chosen vertex keeps a
     critical edge, so each leaf with no uncovered edge is a minimal
-    transversal, and each is reached once. Only the output is stored.
-    Raises OutputLimitExceeded, holding the complements of the
-    transversals found so far in lectic order, once more than ``cap``
-    are found, and ValueError for an edge outside the ground set.
+    transversal, reached once, and stores its complement. Only the
+    output is stored. Raises OutputLimitExceeded, holding the
+    independent sets found so far in lectic order, once more than
+    ``cap`` are found, and ValueError for an edge outside the ground set.
     """
     full = (1 << n) - 1
     edges = set(masks)
@@ -61,9 +63,9 @@ def _minimal_transversals(n: int, masks: Iterable[int], cap: int) -> list[int]:
 
     def extend(chosen: int, crit: list[int], cand: int, uncov: int) -> None:
         if not uncov:
-            found.append(chosen)
+            found.append(full ^ chosen)
             if len(found) > cap:
-                raise OutputLimitExceeded("transversals", cap, sorted(full ^ t for t in found))
+                raise OutputLimitExceeded("transversals", cap, sorted(found))
             return
         # Branch on the uncovered edge with the fewest candidates, but
         # stop scanning once the edges scanned reach the best count: the
@@ -94,15 +96,4 @@ def _minimal_transversals(n: int, masks: Iterable[int], cap: int) -> list[int]:
             best ^= low
 
     extend(forced, [], full & ~forced, (1 << len(edges)) - 1)
-    return found
-
-
-def maximal_independent_sets(n: int, masks: Iterable[int], cap: int = MIS_CAP) -> list[int]:
-    """All maximal edge-free subsets of an n-element ground set, in lectic order.
-
-    They are the complements of the minimal transversals of the edge
-    masks. Raises OutputLimitExceeded, holding the independent sets found
-    so far, once more than ``cap`` are found.
-    """
-    full = (1 << n) - 1
-    return sorted(full ^ t for t in _minimal_transversals(n, masks, cap))
+    return sorted(found)

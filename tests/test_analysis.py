@@ -15,8 +15,11 @@ from conclose import (
     EXHAUSTIVE_LIMIT,
     CnfFormula,
     ConsistencyGraph,
+    ElemSet,
+    GroundSet,
     GroundSetTooLarge,
     HypothesesNotMet,
+    ImplicationalBase,
     NotStandard,
     analyze,
     arrow_relations,
@@ -192,6 +195,28 @@ def test_independence_agrees_with_chain_condition_when_modular():
         if len(subset) > 4:
             continue
         assert check_independent(base, subset).ok == check_chain_condition(base, subset).ok
+
+    # With a non-empty cl(∅) each prefix meets the next closure in cl(∅),
+    # not in the empty set: {b, c} is independent under "-> a".
+    bottom_a = simple("elements: a b c\nimp: -> a\n")
+    bc = bottom_a.ground.set_of("b", "c")
+    assert check_modular(bottom_a).ok
+    assert check_independent(bottom_a, bc).ok and check_chain_condition(bottom_a, bc).ok
+
+    # Random small modular bases, empty premises allowed, on every subset.
+    modular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        g = GroundSet([f"e{i}" for i in range(n)])
+        rules = [(rng.randrange(1 << n), rng.randrange(1, 1 << n)) for _ in range(rng.randint(0, 4))]
+        base = ImplicationalBase(g, rules)
+        if not check_modular(base).ok:
+            continue
+        modular += 1
+        for mask in range(1 << n):
+            subset = ElemSet(g, mask)
+            assert check_independent(base, subset).ok == check_chain_condition(base, subset).ok
+    assert modular >= 100
 
 
 def test_mingen_independence(demo_base):

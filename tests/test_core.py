@@ -445,13 +445,14 @@ _G, _OG = _BASE.ground, _OTHER.ground
         (lambda: ImplicationalBase(_G, [(0b01, 0b100)]),
          ValueError, "rule \\(1, 4\\) is not a pair of masks over 2 elements"),
         (lambda: ConsistencyGraph(_G, [(0, 2)]), ValueError, r"edge \(0, 2\) out of range"),
+        (lambda: ConsistencyGraph(_G, [(0, 1.0)]), TypeError, "endpoints must be int indices"),
         (lambda: format_instance(_BASE, _OTHER_GRAPH),
          MismatchedGroundSets, "base and graph ground sets differ"),
     ],
     ids=[
         "augment_with_inconsistency", "minimize_superkey", "key_decomposition", "solve",
         "is_solution", "from_indices", "ElemSet", "ImplicationalBase",
-        "ConsistencyGraph", "format_instance",
+        "ConsistencyGraph", "ConsistencyGraph_float", "format_instance",
     ],
 )
 def test_foreign_grounds_and_out_of_range_indices_raise(call, error, message):

@@ -48,7 +48,6 @@ from conclose.closure import _chainer
 from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
 from conclose.keys import _minimize_mask
-from conclose.transversal import _minimal_transversals
 from oracles import (
     greedy_minimize,
     labelset,
@@ -94,13 +93,11 @@ def families(draw):
 
 
 @PROPERTY
-@given(families(), st.data())
-def test_subset_index_matches_naive_scan(family, data):
+@given(families())
+def test_subset_index_matches_naive_scan(family):
     n, stored, queries = family
-    # Mix bulk construction and add() at a drawn split point.
-    split = data.draw(st.integers(0, len(stored)))
-    index = SubsetIndex(n, stored[:split])
-    for m in stored[split:]:
+    index = SubsetIndex(n)
+    for m in stored:
         index.add(m)
     for c in queries:
         assert index.has_subset_of(c) == any(a & ~c == 0 for a in stored)
@@ -116,8 +113,11 @@ def test_minimal_matches_naive_filter(family):
 
 def test_subset_index_edge_cases():
     assert not SubsetIndex(0).has_subset_of(0)
-    assert SubsetIndex(0, [0]).has_subset_of(0)
-    one = SubsetIndex(1, [1])
+    empty = SubsetIndex(0)
+    empty.add(0)
+    assert empty.has_subset_of(0)
+    one = SubsetIndex(1)
+    one.add(1)
     assert one.has_subset_of(1) and not one.has_subset_of(0)
     one.add(0)
     assert one.has_subset_of(0)
@@ -252,7 +252,8 @@ def test_dualization_matches_subset_scan(hypergraph, pick):
         return not any(e & ~s == 0 for e in edges)
 
     mis = [s for s in range(1 << n) if free(s) and not any(free(s | b) for b in bits if not s & b)]
-    assert sorted(_minimal_transversals(n, edges, len(trans))) == trans
+    full = (1 << n) - 1
+    assert sorted(full ^ m for m in maximal_independent_sets(n, edges, len(trans))) == trans
     assert maximal_independent_sets(n, edges) == mis
     if trans:
         # The cap counts finished transversals of the whole hypergraph.

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from conclose import MIS_CAP, OutputLimitExceeded, maximal_independent_sets
-from conclose.transversal import _minimal_transversals
 from oracles import naive_mis, naive_transversals
 
 
@@ -19,7 +18,9 @@ def names(labels, masks):
 
 
 def transversals(n, edges, cap=MIS_CAP):
-    return sorted(_minimal_transversals(n, edges, cap))
+    """The minimal transversals: complements of the maximal independent sets."""
+    full = (1 << n) - 1
+    return sorted(full ^ m for m in maximal_independent_sets(n, edges, cap))
 
 
 def test_empty_edge_has_no_transversal_and_no_independent_set():
