@@ -24,6 +24,21 @@ retires are the AND of those masks over the key's elements; a second
 mask per element marks the rules whose conclusion meets it, so a key's
 scan reads only the live rules whose conclusion meets the key.
 
+The same holds one element further. A rule whose conclusion misses e
+and whose premise plus e holds a known key rewrites every key k holding
+e into a set holding ``p | e``, so that rewrite too is covered now and
+always. A rule mask ``near[e]`` per element collects these rules, and
+each key's scan drops ``near[e]`` for the elements e it holds that have
+one. A new key finds them in the walk over its elements that finds the
+rules it retires: beside the rules whose premise holds every element so
+far it keeps those missing exactly one, and the walk stops when both
+are empty. It starts from the rules whose premise has at least |k| - 1
+elements, the only ones that can qualify, so on the doubling family,
+whose live premises are far smaller than its keys, most walks never
+start. On the first convexity benchmark instance the rewrites read fall
+from 23,742 to 1,827; the keys, their order, the minimizations and the
+closures are as before.
+
 Minimization drops elements greedily, each kept only when the closure
 of the rest falls short of the full set. Every saturation first
 minimizes the full set, and each element that minimization keeps leaves
@@ -143,32 +158,50 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
     premises, conclusions = ch.premises, ch.conclusions
     holds = [0] * g.n  # holds[i]: the rules whose premise holds element i, one bit per rule
     meets = [0] * g.n  # meets[i]: the rules whose conclusion holds element i
+    reach = [0] * (g.n + 2)  # reach[s]: the rules whose premise has at least s - 1 elements
     for j, (pmask, cmask) in enumerate(zip(premises, conclusions)):
         bit = 1 << j
         for i in iter_bits(pmask):
             holds[i] |= bit
         for i in iter_bits(cmask):
             meets[i] |= bit
+        reach[pmask.bit_count() + 1] |= bit
+    for s in reversed(range(g.n + 1)):
+        reach[s] |= reach[s + 1]
     live = (1 << len(premises)) - 1  # the rules not yet retired
+    near = [0] * g.n  # near[i]: the rules whose premise plus i holds a key and conclusion misses i
+    nearby = 0  # the elements whose near mask is not 0
     found: list[int] = []
     index = SubsetIndex(g.n)
     proper = SubsetIndex(g.n)  # the minimizations' certificate, filled by the first
     tried: set[int] = set()  # rewrites already looked up; the index only grows
 
     def add_key(k: int) -> None:
-        nonlocal live
+        nonlocal live, nearby
         found.append(k)
         index.add(k)
         if len(found) > cap:
             raise OutputLimitExceeded("keys", cap, sorted(found))
-        # Every rewrite of a rule whose premise holds k holds k too.
-        dead = live
-        m = k
-        while m and dead:
+        # Every rewrite of a rule whose premise holds k holds k too, so
+        # the rule retires. A rule whose premise misses only e of k, and
+        # whose conclusion misses e, rewrites any key holding e into a
+        # superset of k, so it joins near[e]. Only a premise of at least
+        # |k| - 1 elements can do either. ``every`` and ``one`` hold the
+        # rules whose premise misses none and one of k's elements so far.
+        every, one, m = live & reach[k.bit_count()], 0, k
+        while m and (every or one):
             low = m & -m
             m ^= low
-            dead &= holds[low.bit_length() - 1]
-        live ^= dead
+            h = holds[low.bit_length() - 1]
+            one = (one & h) | (every & ~h)
+            every &= h
+        live ^= every
+        if one:
+            for e in iter_bits(k):
+                add = one & ~holds[e] & ~meets[e]
+                if add:
+                    near[e] |= add
+                    nearby |= 1 << e
 
     add_key(_minimize_mask(ch, full, full, proper))
     for k in found:  # keys appended below are scanned in turn, first in first out
@@ -178,6 +211,11 @@ def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
             low = m & -m
             m ^= low
             todo |= meets[low.bit_length() - 1]
+        m = k & nearby
+        while m:
+            low = m & -m
+            m ^= low
+            todo &= ~near[low.bit_length() - 1]
         todo &= live
         while todo:
             low = todo & -todo

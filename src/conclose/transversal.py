@@ -48,10 +48,12 @@ def maximal_independent_sets(n: int, masks: Iterable[int], cap: int = MIS_CAP) -
     """
     full = (1 << n) - 1
     edges = set(masks)
-    if max(edges, default=0) > full:
-        raise ValueError(f"edge mask does not fit a {n}-element ground set")
     forced = 0
     for e in edges:
+        # A negative mask has every bit above n set, so one shift finds
+        # it as it finds a mask past the ground set.
+        if e >> n:
+            raise ValueError(f"edge mask {e!r} does not fit a {n}-element ground set")
         if e and not e & (e - 1):
             forced |= e
     edges = sorted((e for e in edges if not e & forced), key=lambda m: (m.bit_count(), m))

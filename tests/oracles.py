@@ -2,7 +2,10 @@
 
 Everything here works on plain frozensets of labels and rescans rules
 until nothing changes, sharing no code with the bitmask kernels under
-test. Keep it dumb; speed is irrelevant at test sizes.
+test. Keep it dumb; speed is irrelevant at test sizes. The one exception
+is the key certificate, which reads int masks, still with its own
+rescanning closure, so that it can run on bases past the exhaustive
+limit with thousands of rules.
 """
 
 from itertools import chain, combinations
@@ -82,6 +85,42 @@ def naive_keys(base):
     full = frozenset(base.ground.labels)
     closing = [s for s in subsets(base.ground.labels) if naive_close(base, s) == full]
     return set(minimal_only(closing))
+
+
+def certifies_keys(base, keys):
+    """Whether the int masks ``keys`` are exactly the minimal keys of ``base``.
+
+    Every member must close to the full set and fall short of it once
+    any one of its elements is dropped: |k| + 1 closures per key. The
+    family is then complete iff it is not empty and, for every member k
+    and every rule A -> B of ``base.rules`` with B meeting k, A | (k - B)
+    holds a member (Lucchesi and Osborn 1978). One pass over keys times
+    rules, with no saturation: nothing is minimized, retired or skipped.
+    """
+    full = base.ground.full_mask
+    rules = base.rules
+
+    def close(mask):
+        changed = True
+        while changed:
+            changed = False
+            for p, c in rules:
+                if p & ~mask == 0 and c & ~mask:
+                    mask |= c
+                    changed = True
+        return mask
+
+    family = list(keys)
+    if not family or len(set(family)) != len(family):
+        return False
+    for k in family:
+        if close(k) != full:
+            return False
+        if any(close(k & ~(1 << i)) == full for i in range(base.ground.n) if k >> i & 1):
+            return False
+    rewrites = {a | (k & ~b) for k in family for a, b in rules if b & k}
+    by_size = sorted(family, key=int.bit_count)
+    return all(any(m & ~s == 0 for m in by_size) for s in rewrites)
 
 
 def greedy_minimize(base, labels):

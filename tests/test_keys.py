@@ -29,6 +29,7 @@ from conclose import keys as keys_module
 from conclose.closure import _Chainer, _chainer
 from conclose.core import SubsetIndex
 from oracles import as_label_sets, labelset, minimal_only, naive_keys
+from test_benchmark_pins import WORKLOADS, _load
 
 DEMO_KEYS = {
     frozenset({"2", "4"}),
@@ -269,16 +270,14 @@ def test_saturation_work_guards(monkeypatch):
     assert keys == brute_force_keys(aug)
 
 
-def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
-    # A compiled rule whose premise holds a known key only rewrites into
-    # supersets of that key, so it leaves every later scan. Without that
-    # retirement the same saturation looks up 74 rewrites; the keys and
-    # the minimizations (one per key) are the same either way.
-    base = gen_poset_convexity(gen_random_poset(10, 1))
-    aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))
-    calls = {"lookup": 0, "minimize": 0}
+def saturation_work(monkeypatch, base):
+    """The keys of ``base`` and the work of saturating it: lookups in the
+    key index (not the minimizations' certificate), minimizations and
+    closures."""
+    calls = {"lookup": 0, "minimize": 0, "close": 0}
     has_subset_of = SubsetIndex.has_subset_of
     minimize = keys_module._minimize_mask
+    close = _Chainer.close
 
     certificates = []
 
@@ -292,12 +291,43 @@ def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
         calls["minimize"] += 1
         return minimize(ch, full, mask, proper)
 
+    def counting_close(ch, mask):
+        calls["close"] += 1
+        return close(ch, mask)
+
     monkeypatch.setattr(SubsetIndex, "has_subset_of", counting_lookup)
     monkeypatch.setattr(keys_module, "_minimize_mask", counting_minimize)
-    keys = enumerate_keys(aug)
+    monkeypatch.setattr(_Chainer, "close", counting_close)
+    keys = enumerate_keys(base)
+    monkeypatch.undo()
+    return keys, calls
+
+
+def test_saturation_retires_rules_whose_premise_holds_a_key(monkeypatch):
+    # A compiled rule whose premise holds a known key only rewrites into
+    # supersets of that key, so it leaves every later scan, and a rule
+    # whose premise plus one element e of a key holds a known key, and
+    # whose conclusion misses e, leaves the scan of that key. The same
+    # saturation looks up 74 rewrites with neither and 57 with the
+    # first alone; the keys and the minimizations (one per key) are the
+    # same either way.
+    base = gen_poset_convexity(gen_random_poset(10, 1))
+    aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))
+    keys, calls = saturation_work(monkeypatch, aug)
     assert len(keys) == 18
-    assert calls == {"lookup": 57, "minimize": 18}
+    assert (calls["lookup"], calls["minimize"]) == (27, 18)
     assert keys == brute_force_keys(aug)
+
+
+def test_convexity_benchmark_saturation_work(monkeypatch):
+    # Instance 0 of the convexity benchmark, from the same text the
+    # benchmark runs. It looks up 4,738 rewrites when only rules whose
+    # premise holds a key are retired; the keys and closures are the same.
+    pin = WORKLOADS["convexity"]["instances"][0]
+    text = _load("perfbench_run", "run.py").canonical_text("poset_convexity", pin["params"])
+    keys, calls = saturation_work(monkeypatch, augment_with_inconsistency(*parse_instance(text)))
+    assert len(keys) == 260
+    assert (calls["lookup"], calls["close"]) == (1092, 612)
 
 
 def test_doubling_saturation_closes_24_sets(monkeypatch):

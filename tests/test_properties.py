@@ -3,8 +3,9 @@ scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
 solve oracle against the naive closed-set family, key
 minimization with and without its certificate against a greedy oracle, the
-co-atoms against the closed-set family, the dualizer against a subset
-scan, the closed-set family and the structure queries (minimal
+co-atoms against the closed-set family, the key family past the
+exhaustive limit against the Lucchesi-Osborn certificate, the dualizer
+against a subset scan, the closed-set family and the structure queries (minimal
 generators, meet-irreducibles, distributivity, modularity,
 independence, biatomicity, d-cycles) against their definitions, and the
 text format round trip."""
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conclose import (
+    EXHAUSTIVE_LIMIT,
     ConsistencyGraph,
     ElemSet,
     GroundSet,
@@ -34,7 +36,9 @@ from conclose import (
     enumerate_keys,
     format_instance,
     gen_exponential,
+    gen_poset_convexity,
     gen_random,
+    gen_random_poset,
     has_d_cycle,
     is_solution,
     maximal_independent_sets,
@@ -49,6 +53,7 @@ from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
 from conclose.keys import _minimize_mask
 from oracles import (
+    certifies_keys,
     greedy_minimize,
     labelset,
     maximal_only,
@@ -324,6 +329,65 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
         bases.append(augment_with_inconsistency(base, graph))
     for b in bases:
         assert enumerate_keys(b) == brute_force_keys(b)
+
+
+@st.composite
+def wide_augmented_bases(draw):
+    """An augmented random or poset-convexity base over 25-40 elements,
+    past the exhaustive limit, so no brute-force twin can check it."""
+    n = draw(st.integers(EXHAUSTIVE_LIMIT + 5, 40))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        imps = draw(st.integers(n, 2 * n))
+        max_premise = draw(st.integers(1, 4))
+        edges = draw(st.integers(1, n))
+        return augment_with_inconsistency(*gen_random(n, imps, max_premise, edges, seed))
+    # Denser posets have thousands of convexity rules; the certificate
+    # reads every one per key, so the density stays at or below the
+    # benchmark's 0.3.
+    base = gen_poset_convexity(gen_random_poset(n, seed, draw(st.sampled_from([0.1, 0.2, 0.3]))))
+    element = st.integers(0, n - 1)
+    edge = st.tuples(element, element).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(edge, min_size=1, max_size=8))
+    return augment_with_inconsistency(base, ConsistencyGraph(base.ground, pairs))
+
+
+def _augmented(text):
+    return augment_with_inconsistency(*parse_instance(text))
+
+
+@settings(PROPERTY, max_examples=20)
+@example(augment_with_inconsistency(*EVERYTHING))  # close(∅) is the full set: the empty key
+@example(parse_instance("elements: a b c\nimp: a -> b c\nimp: b -> c\nimp: c -> a\n")[0])  # singleton keys
+@example(_augmented("elements: a b c d e\nimp: a -> b\nimp: c -> d\nedge: b d\n"))  # size-1 premises
+@example(_augmented("elements: a b c d\nimp: a -> b\nimp: b -> c\nimp: d -> a\nedge: c d\n"))  # a chain
+@given(wide_augmented_bases())
+def test_enumerate_keys_certified_past_the_exhaustive_limit(base):
+    assert certifies_keys(base, [k.mask for k in enumerate_keys(base)])
+
+
+def _convexity(n, seed, pairs):
+    base = gen_poset_convexity(gen_random_poset(n, seed))
+    return augment_with_inconsistency(base, ConsistencyGraph(base.ground, pairs))
+
+
+MUTATED = {
+    "random40": lambda: augment_with_inconsistency(*gen_random(40, 80, 3, 20, 1)),
+    "premises1": lambda: _augmented("elements: a b c d e\nimp: a -> b\nimp: c -> d\nedge: b d\n"),
+    "convexity25": lambda: _convexity(25, 0, [(0, 9), (3, 17), (12, 20)]),
+}
+
+
+@pytest.mark.parametrize("drop", ["first", "middle", "last"])
+@pytest.mark.parametrize("name", MUTATED)
+def test_certificate_rejects_a_family_missing_one_key(name, drop):
+    # The fixed point of the certificate needs every key: with one gone,
+    # some rewrite of the rest holds none of them.
+    base = MUTATED[name]()
+    keys = [k.mask for k in enumerate_keys(base)]
+    assert len(keys) >= 3 and certifies_keys(base, keys)
+    del keys[{"first": 0, "middle": len(keys) // 2, "last": -1}[drop]]
+    assert not certifies_keys(base, keys)
 
 
 @PIPELINE

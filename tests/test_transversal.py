@@ -39,6 +39,14 @@ def test_foreign_edge_rejected():
             fn(1, [0b1, 0b10])
 
 
+@pytest.mark.parametrize("edges", [[-2, 3], [-1], [0b1000], [0b11, 0b1001]])
+def test_negative_or_oversized_edge_raises_value_error(edges):
+    # A negative mask has every bit above the ground set, so it is as
+    # foreign as a mask past it; neither may reach the vertex lists.
+    with pytest.raises(ValueError, match="does not fit a 3-element ground set"):
+        maximal_independent_sets(3, edges)
+
+
 def test_minimal_transversals_tiny():
     assert names("ab", transversals(*hg("ab", "ab"))) == {frozenset("a"), frozenset("b")}
     assert names("ab", transversals(*hg("ab", "a", "b"))) == {frozenset("ab")}
