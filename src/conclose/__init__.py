@@ -20,13 +20,12 @@ import importlib
 _EXPORTS = {
     "analysis": (
         "AnalysisReport", "ArrowRelations", "CheckResult", "DRelation", "analyze",
-        "arrow_relations", "check_atomistic", "check_biatomic", "check_chain_condition",
-        "check_distributive", "check_independent", "check_mingen_independence",
-        "check_modular", "check_standard", "d_relation", "has_d_cycle",
-        "verify_log_bound",
+        "arrow_relations", "check_atomistic", "check_biatomic", "check_distributive",
+        "check_independent", "check_mingen_independence", "check_modular", "check_standard",
+        "d_relation", "has_d_cycle", "verify_log_bound",
     ),
     "closure": (
-        "close", "covers", "enumerate_closed_sets", "is_closed",
+        "close", "covers", "enumerate_closed_sets",
     ),
     "core": (
         "EXHAUSTIVE_LIMIT", "KEY_CAP", "MAX_GROUND", "MIS_CAP", "ConsistencyGraph",
@@ -35,8 +34,8 @@ _EXPORTS = {
     ),
     "errors": (
         "ClosureError", "EmptyGraph", "GroundSetTooLarge", "HypothesesNotMet",
-        "InvalidParams", "MismatchedGroundSets", "NoDecomposition", "NotASuperkey",
-        "NotClosed", "NotStandard", "OutputLimitExceeded", "ParseError",
+        "InvalidParams", "MismatchedGroundSets", "NotClosed", "NotStandard",
+        "OutputLimitExceeded", "ParseError",
     ),
     "generators": (
         "CnfFormula", "Poset", "gen_cnf_lower_bounded", "gen_exponential", "gen_fano",
@@ -45,7 +44,7 @@ _EXPORTS = {
     ),
     "keys": (
         "augment_with_inconsistency", "brute_force_keys", "caratheodory_number",
-        "enumerate_keys", "key_decomposition", "minimal_generators", "minimize_superkey",
+        "enumerate_keys", "minimal_generators",
     ),
     "solver": (
         "SolutionSet", "SolveStats", "brute_force_solve", "co_atoms", "is_solution",

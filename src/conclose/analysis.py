@@ -254,35 +254,6 @@ def _check_independent(base: ImplicationalBase, mask: int, memo: dict[int, int] 
     return CheckResult(True)
 
 
-def check_chain_condition(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
-    """Chain form of independence: each prefix closure meets the next
-    element's closure in cl(∅), the closure of their empty intersection.
-
-    In modular systems this single chain, taken in index order, is
-    equivalent to full subset-pair independence.
-    """
-    if subset.ground != base.ground:
-        raise MismatchedGroundSets("set and base over different ground sets")
-    ch = _chainer(base)
-    g = base.ground
-    bottom = ch.close(0)
-    elems = list(iter_bits(subset.mask))
-    prefix = 0
-    for i in range(len(elems) - 1):
-        prefix |= 1 << elems[i]
-        nxt = 1 << elems[i + 1]
-        meet = ch.close(prefix) & ch.close(nxt)
-        if meet != bottom:
-            return CheckResult(
-                False,
-                (ElemSet(g, prefix), elems[i + 1], ElemSet(g, meet)),
-                "prefix {!r} meets the closure of {} in {!r}".format(
-                    ElemSet(g, prefix), g.labels[elems[i + 1]], ElemSet(g, meet)
-                ),
-            )
-    return CheckResult(True)
-
-
 def check_mingen_independence(base: ImplicationalBase) -> CheckResult:
     """Every minimal generator of every element is an independent set.
 

@@ -115,11 +115,6 @@ def close(base: ImplicationalBase, subset: ElemSet) -> ElemSet:
     return ElemSet(base.ground, _chainer(base).close(subset.mask))
 
 
-def is_closed(base: ImplicationalBase, subset: ElemSet) -> bool:
-    """True iff ``subset`` already satisfies every implication."""
-    return close(base, subset).mask == subset.mask
-
-
 def _closed_masks(
     base: ImplicationalBase, conflicts: tuple[tuple[int, int], ...] = ()
 ) -> list[int]:
@@ -200,7 +195,7 @@ def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
 
     They are the minimal closures obtained by adding one missing element.
     """
-    if not is_closed(base, closed_set):
+    if close(base, closed_set) != closed_set:
         raise NotClosed(f"{closed_set!r} is not closed")
     g = base.ground
     return [ElemSet(g, m) for m in _covers(_chainer(base), closed_set.mask)]

@@ -19,14 +19,6 @@ class NotClosed(ClosureError):
     """An operation that requires a closed set received one that is not."""
 
 
-class NotASuperkey(ClosureError):
-    """Key minimization was asked to shrink a set whose closure is not full."""
-
-
-class NoDecomposition(ClosureError):
-    """No edge-plus-generators decomposition exists for the given key."""
-
-
 class EmptyGraph(ClosureError):
     """The consistency graph has no edges where at least one is required."""
 

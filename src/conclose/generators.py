@@ -74,14 +74,15 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     then clause lines of positive literals terminated by 0. Negative
     literals are rejected.
     """
-    n_vars = None
-    expected = None
+    header = 0  # the header's line number, 0 until it is read
     clauses: list[tuple[int, int, int]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header:
+                raise ParseError(no, f"duplicate 'p cnf' header (first was line {header})")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(no, "malformed problem line, expected 'p cnf <vars> <clauses>'")
@@ -89,8 +90,11 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
                 n_vars, expected = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(no, "problem line counts must be integers") from None
+            if n_vars < 0:
+                raise ParseError(no, "variable count must be non-negative")
+            header = no
             continue
-        if n_vars is None:
+        if not header:
             raise ParseError(no, "clause before 'p cnf' header")
         try:
             lits = [int(t) for t in line.split()]
@@ -103,15 +107,14 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             raise ParseError(no, "only positive literals are supported")
         if len(lits) != 3 or len(set(lits)) != 3:
             raise ParseError(no, "clauses must have exactly three distinct variables")
+        if max(lits) > n_vars:
+            raise ParseError(no, f"clause {tuple(lits)} uses a variable out of range")
         clauses.append((lits[0], lits[1], lits[2]))
-    if n_vars is None:
+    if not header:
         raise ParseError(1, "missing 'p cnf' header")
-    if expected is not None and expected != len(clauses):
-        raise ParseError(1, f"header announces {expected} clauses, found {len(clauses)}")
-    try:
-        return CnfFormula(n_vars, tuple(clauses))
-    except InvalidParams as exc:
-        raise ParseError(1, str(exc)) from None
+    if expected != len(clauses):
+        raise ParseError(header, f"header announces {expected} clauses, found {len(clauses)}")
+    return CnfFormula(n_vars, tuple(clauses))
 
 
 def gen_cnf_lower_bounded(cnf: CnfFormula) -> ImplicationalBase:

@@ -1,4 +1,4 @@
-"""Minimal keys of an implicational base and their decomposition.
+"""Minimal keys and minimal generators of an implicational base.
 
 A key is an inclusion-minimal set whose closure is the whole ground
 set. Enumeration follows the Lucchesi-Osborn saturation scheme from
@@ -79,13 +79,7 @@ from .core import (
     _refuse_past_exhaustive_limit,
     iter_bits,
 )
-from .errors import (
-    EmptyGraph,
-    MismatchedGroundSets,
-    NoDecomposition,
-    NotASuperkey,
-    OutputLimitExceeded,
-)
+from .errors import EmptyGraph, MismatchedGroundSets, OutputLimitExceeded
 
 
 def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
@@ -132,22 +126,6 @@ def _minimize_mask(ch, full: int, mask: int, proper: SubsetIndex) -> int:
         elif learn:
             proper.add(full ^ closed)
     return mask
-
-
-def minimize_superkey(base: ImplicationalBase, superkey: ElemSet) -> ElemSet:
-    """Shrink a superkey to a minimal key by greedy element removal.
-
-    Elements are scanned in decreasing index order, so the result is
-    deterministic. Raises NotASuperkey when the argument's closure is
-    not the full ground set.
-    """
-    if superkey.ground != base.ground:
-        raise MismatchedGroundSets("set and base over different ground sets")
-    ch = _chainer(base)
-    full = base.ground.full_mask
-    if ch.close(superkey.mask) != full:
-        raise NotASuperkey(f"{superkey!r} does not generate the full set")
-    return ElemSet(base.ground, _minimize_mask(ch, full, superkey.mask, SubsetIndex(ch.n)))
 
 
 def _key_masks(base: ImplicationalBase, cap: int = KEY_CAP) -> list[int]:
@@ -296,32 +274,3 @@ def caratheodory_number(base: ImplicationalBase) -> int:
     # An element of close(∅) has the empty key but singleton generators.
     sizes = (k.bit_count() for x in range(base.ground.n) for k in _element_keys(base, x))
     return max(1, max(sizes, default=1))
-
-
-def key_decomposition(
-    base: ImplicationalBase,
-    graph: ConsistencyGraph,
-    key: ElemSet,
-) -> tuple[tuple[int, int], ElemSet, ElemSet]:
-    """Split a key of the augmented base along one conflict edge.
-
-    Every key of the augmented system is the union of a minimal
-    generator of u and a minimal generator of v for some conflict edge
-    (u, v), generators taken under the original base. Edges are tried
-    in normalized order and generators lectically; the first witness is
-    returned as ``((u, v), gen_u, gen_v)``. Raises NoDecomposition when
-    no edge admits one, which for true keys cannot happen.
-    """
-    if base.ground != graph.ground or key.ground != base.ground:
-        raise MismatchedGroundSets("key, base and graph must share a ground set")
-    kmask = key.mask
-    for u, v in graph.edges:
-        gens_u = [a for a in minimal_generators(base, u) if a.mask & ~kmask == 0]
-        if not gens_u:
-            continue
-        gens_v = [a for a in minimal_generators(base, v) if a.mask & ~kmask == 0]
-        for a_u in gens_u:
-            for a_v in gens_v:
-                if a_u.mask | a_v.mask == kmask:
-                    return (u, v), a_u, a_v
-    raise NoDecomposition(f"{key!r} does not split along any conflict edge")

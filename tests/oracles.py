@@ -2,10 +2,10 @@
 
 Everything here works on plain frozensets of labels and rescans rules
 until nothing changes, sharing no code with the bitmask kernels under
-test. Keep it dumb; speed is irrelevant at test sizes. The one exception
-is the key certificate, which reads int masks, still with its own
-rescanning closure, so that it can run on bases past the exhaustive
-limit with thousands of rules.
+test. Keep it dumb; speed is irrelevant at test sizes. The exceptions are
+the two certificates, of keys and of solutions, which read int masks
+(the first with its own rescanning closure) so that they can run on
+bases past the exhaustive limit with thousands of rules.
 """
 
 from itertools import chain, combinations
@@ -123,6 +123,63 @@ def certifies_keys(base, keys):
     return all(any(m & ~s == 0 for m in by_size) for s in rewrites)
 
 
+def certifies_solutions(n, keys, solutions):
+    """None when the int masks ``solutions`` are exactly the maximal
+    subsets of 0..n-1 holding no member of ``keys``, else a witness mask.
+
+    The solutions must form an antichain; a listed solution that lies
+    inside another one, or repeats, is returned as the witness. Then the
+    complements of the solutions must be exactly the minimal
+    transversals of the keys, which Fredman and Khachiyan's algorithm A
+    (1996) decides. It minimizes its input, hence the antichain check.
+    Its witness is returned complemented: a set S for which exactly one
+    of "S holds no key" and "S lies inside a listed solution" is true.
+    """
+    full = (1 << n) - 1
+    solutions = list(solutions)
+    for s in solutions:
+        if sum(s & ~t == 0 for t in solutions) != 1:
+            return s
+
+    def minimized(sets):
+        out = []
+        for s in sorted(set(sets), key=int.bit_count):
+            if not any(m & ~s == 0 for m in out):
+                out.append(s)
+        return out
+
+    def dual(f, g):
+        # None when the antichain g is the minimal transversals of the
+        # antichain f, else a set W that hits every member of f and holds
+        # no member of g, or holds a member of g and misses one of f.
+        for a in f:
+            for b in g:
+                if a & b == 0:
+                    return full & ~a
+        # The dual of no sets is {∅}, and {∅} is the dual of none.
+        if not f:
+            return None if g == [0] else 0
+        if not g:
+            return None if f == [0] else full
+        counts = [0] * n
+        for m in f + g:
+            for i in range(n):
+                counts[i] += m >> i & 1
+        bit = 1 << max(range(n), key=counts.__getitem__)
+        # f = x f1 + f0 and g = x g1 + g0: g is the dual of f iff g0 is
+        # the dual of f0 + f1 and g0 + g1 the dual of f0.
+        f0 = [a for a in f if not a & bit]
+        g0 = [b for b in g if not b & bit]
+        w = dual(minimized(f0 + [a ^ bit for a in f if a & bit]), g0)
+        if w is not None:
+            return w & ~bit
+        w = dual(f0, minimized(g0 + [b ^ bit for b in g if b & bit]))
+        return None if w is None else w | bit
+
+    w = dual(minimized(keys), [full & ~s for s in solutions])
+    return None if w is None else full & ~w
+
+
 def greedy_minimize(base, labels):
     """Drop elements of a superkey in decreasing ground order while the
     rest still closes to the full set; the one key this order gives."""
@@ -157,6 +214,38 @@ def naive_mingens(base, label):
         s for s in subsets(base.ground.labels) if s and label in naive_close(base, s)
     ]
     return set(minimal_only(hits))
+
+
+def naive_key_splitter(base, graph):
+    """A function splitting a key, given as labels, along a conflict edge.
+
+    It returns ``((u, v), gen_u, gen_v)`` for the first edge (u, v), in
+    the graph's order, on which the key is the union of a minimal
+    generator of u and one of v, taking generators in sorted order, and
+    None when no edge splits it. Every key of the augmented base splits;
+    this is the fact behind the bounded-Carathéodory result. Every
+    subset is closed once, here, and each endpoint's generators (those
+    of naive_mingens) are listed once, not once per key.
+    """
+    edges = graph.edge_labels()
+    closures = [(s, naive_close(base, s)) for s in subsets(base.ground.labels) if s]
+    gens = {
+        x: sorted(minimal_only(s for s, c in closures if x in c), key=sorted)
+        for edge in edges
+        for x in edge
+    }
+
+    def split(key):
+        key = frozenset(key)
+        for u, v in edges:
+            for a in gens[u]:
+                if a <= key:
+                    for b in gens[v]:
+                        if a | b == key:
+                            return (u, v), a, b
+        return None
+
+    return split
 
 
 def naive_caratheodory(base):
@@ -249,6 +338,19 @@ def naive_independent(base, labels):
             if naive_close(base, y1 & y2) != naive_close(base, y1) & naive_close(base, y2):
                 return False
     return True
+
+
+def naive_chain_condition(base, labels):
+    """The chain form of independence: taking the elements in ground
+    order, each prefix's closure meets the next element's closure in
+    cl(∅). In modular systems it is equivalent to independence."""
+    s = frozenset(labels)
+    elems = [x for x in base.ground.labels if x in s]
+    bottom = naive_close(base, ())
+    return all(
+        naive_close(base, elems[:i]) & naive_close(base, elems[i : i + 1]) == bottom
+        for i in range(1, len(elems))
+    )
 
 
 def naive_arrows(base):

@@ -106,11 +106,17 @@ def test_parse_dimacs_good():
         ("p cnf 3 2\n1 2 3 0\n", "announces 2 clauses"),
         ("p cnf x 1\n", "must be integers"),
         ("", "missing 'p cnf' header"),
+        # A clause's own line, the header's line, and the second header's.
+        ("c x\nc y\np cnf 2 1\n1 2 3 0\n", r"^line 4: clause \(1, 2, 3\) uses a variable out of range$"),
+        ("c x\np cnf 3 2\n1 2 3 0\n", r"^line 2: header announces 2 clauses, found 1$"),
+        ("p cnf 3 1\nc\np cnf 3 1\n1 2 3 0\n", r"^line 3: duplicate 'p cnf' header \(first was line 1\)$"),
     ],
 )
 def test_parse_dimacs_rejects(text, msg):
-    with pytest.raises(ParseError, match=msg):
+    with pytest.raises(ParseError, match=msg) as err:
         parse_dimacs_cnf(text)
+    # The message starts with the error's .line, so a "^line N:" match pins it.
+    assert str(err.value).startswith(f"line {err.value.line}: ")
 
 
 # ---------------------------------------------------------------------------

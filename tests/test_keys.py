@@ -7,9 +7,6 @@ from conclose import (
     ConsistencyGraph,
     ElemSet,
     EmptyGraph,
-    ImplicationalBase,
-    NoDecomposition,
-    NotASuperkey,
     OutputLimitExceeded,
     augment_with_inconsistency,
     brute_force_keys,
@@ -20,15 +17,13 @@ from conclose import (
     gen_poset_convexity,
     gen_random,
     gen_random_poset,
-    key_decomposition,
     minimal_generators,
-    minimize_superkey,
     parse_instance,
 )
 from conclose import keys as keys_module
 from conclose.closure import _Chainer, _chainer
 from conclose.core import SubsetIndex
-from oracles import as_label_sets, labelset, minimal_only, naive_keys
+from oracles import as_label_sets, labelset, minimal_only, naive_key_splitter, naive_keys
 from test_benchmark_pins import WORKLOADS, _load
 
 DEMO_KEYS = {
@@ -164,67 +159,60 @@ def test_key_cap_reports_partial():
 # minimization
 
 
+def _minimized(base, superkey):
+    # One greedy minimization under a fresh, empty certificate.
+    g = base.ground
+    mask = keys_module._minimize_mask(_chainer(base), g.full_mask, superkey.mask, SubsetIndex(g.n))
+    return ElemSet(g, mask)
+
+
 def test_minimize_full_set(demo_base, demo_graph):
     aug = augment_with_inconsistency(demo_base, demo_graph)
-    got = minimize_superkey(aug, demo_base.ground.full())
+    got = _minimized(aug, demo_base.ground.full())
     assert got.to_text() == "2 4"
 
 
 def test_minimize_fixpoint_on_keys(demo_base, demo_graph):
     aug = augment_with_inconsistency(demo_base, demo_graph)
     for k in enumerate_keys(aug):
-        assert minimize_superkey(aug, k) == k
+        assert _minimized(aug, k) == k
 
 
 def test_minimize_scans_from_the_top():
     base = parse_instance("elements: a b c\nimp: a b -> a b c\n")[0]
-    assert minimize_superkey(base, base.ground.full()).to_text() == "a b"
-
-
-def test_minimize_rejects_non_superkey(demo_base):
-    with pytest.raises(NotASuperkey):
-        minimize_superkey(demo_base, demo_base.ground.set_of("1", "2"))
+    assert _minimized(base, base.ground.full()).to_text() == "a b"
 
 
 # ---------------------------------------------------------------------------
-# decomposition along a conflict edge
+# decomposition along a conflict edge, through the label-level oracle
 
 
 def test_demo_decompositions(demo_base, demo_graph):
-    g = demo_base.ground
-    edge, gen_u, gen_v = key_decomposition(demo_base, demo_graph, g.set_of("1", "3", "5"))
-    assert edge == (g.index("2"), g.index("5"))
-    assert gen_u.to_text() == "1 3"
-    assert gen_v.to_text() == "5"
-
-    edge, gen_u, gen_v = key_decomposition(demo_base, demo_graph, g.set_of("2", "4"))
-    assert edge == (g.index("2"), g.index("4"))
-    assert (gen_u.to_text(), gen_v.to_text()) == ("2", "4")
+    split = naive_key_splitter(demo_base, demo_graph)
+    assert split({"1", "3", "5"}) == (("2", "5"), {"1", "3"}, {"5"})
+    assert split({"2", "4"}) == (("2", "4"), {"2"}, {"4"})
 
 
 def test_two_branch_key_decomposes_with_shared_generators():
     base, graph = gen_exponential(2)
-    g = base.ground
-    key = g.set_of("x1", "x2")
-    edge, gen_u, gen_v = key_decomposition(base, graph, key)
-    assert edge == (g.index("u"), g.index("v"))
-    assert gen_u == key and gen_v == key
+    key = {"x1", "x2"}
+    assert naive_key_splitter(base, graph)(key) == (("u", "v"), key, key)
 
 
 def test_decomposition_of_non_key_fails(demo_base, demo_graph):
-    with pytest.raises(NoDecomposition):
-        key_decomposition(demo_base, demo_graph, demo_base.ground.set_of("1"))
+    assert naive_key_splitter(demo_base, demo_graph)({"1"}) is None
 
 
 def test_decomposition_pieces_are_generators(demo_base, demo_graph):
     aug = augment_with_inconsistency(demo_base, demo_graph)
     g = demo_base.ground
+    split = naive_key_splitter(demo_base, demo_graph)
     for k in enumerate_keys(aug):
-        (u, v), gen_u, gen_v = key_decomposition(demo_base, demo_graph, k)
-        assert (u, v) in demo_graph.edges
-        assert gen_u | gen_v == k
+        (u, v), gen_u, gen_v = split(labelset(k))
+        assert (u, v) in demo_graph.edge_labels()
+        assert gen_u | gen_v == labelset(k)
         for elem, gen in ((u, gen_u), (v, gen_v)):
-            assert gen in minimal_generators(demo_base, elem)
+            assert gen in as_label_sets(minimal_generators(demo_base, g.index(elem)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +341,12 @@ def test_doubling_saturation_closes_24_sets(monkeypatch):
 
 
 def test_minimizing_first_leaves_saturation_work_unchanged(monkeypatch):
-    # The certificate belongs to one saturation, so a minimize_superkey
-    # call on the same base beforehand leaves nothing behind: the
-    # saturation still makes its 24 closures and finds the same keys.
+    # The certificate belongs to one saturation, and its first
+    # minimization fills it; a saturation of the same base beforehand
+    # leaves nothing behind, so the second still makes its 24 closures
+    # and finds the same keys.
     aug = augment_with_inconsistency(*gen_exponential(10))
-    alone = enumerate_keys(ImplicationalBase(aug.ground, aug.rules))
-    assert minimize_superkey(aug, aug.ground.full()) in alone
+    first = enumerate_keys(aug)
     calls = 0
     close = _Chainer.close
 
@@ -371,24 +359,4 @@ def test_minimizing_first_leaves_saturation_work_unchanged(monkeypatch):
     keys = enumerate_keys(aug)
     assert calls == 24
     assert len(keys) == 1025
-    assert keys == alone
-
-
-def test_decomposition_reuses_generator_saturations(monkeypatch):
-    # key_decomposition reads minimal generators, which saturate once per
-    # element and base; decomposing every key adds no saturation after that.
-    base, graph = gen_exponential(3)
-    keys = enumerate_keys(augment_with_inconsistency(base, graph))
-    calls = []
-    saturate = keys_module._key_masks
-
-    def counting(b, *args, **kwargs):
-        calls.append(b)
-        return saturate(b, *args, **kwargs)
-
-    monkeypatch.setattr(keys_module, "_key_masks", counting)
-    for k in keys:
-        key_decomposition(base, graph, k)
-    endpoints = {x for edge in graph.edges for x in edge}
-    assert len(keys) == 9
-    assert len(calls) == len(endpoints) == 2
+    assert keys == first

@@ -3,8 +3,9 @@ scan it replaces, the compiled closure against a plain fixpoint, the key
 and solve pipelines against their brute-force twins on random bases, the
 solve oracle against the naive closed-set family, key
 minimization with and without its certificate against a greedy oracle, the
-co-atoms against the closed-set family, the key family past the
-exhaustive limit against the Lucchesi-Osborn certificate, the dualizer
+co-atoms against the closed-set family, the keys and solutions past
+the exhaustive limit against the Lucchesi-Osborn certificate and the
+Fredman-Khachiyan duality test, the dualizer
 against a subset scan, the closed-set family and the structure queries (minimal
 generators, meet-irreducibles, distributivity, modularity,
 independence, biatomicity, d-cycles) against their definitions, and the
@@ -44,7 +45,6 @@ from conclose import (
     maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
-    minimize_superkey,
     parse_instance,
     solve,
 )
@@ -54,6 +54,7 @@ from conclose.errors import OutputLimitExceeded
 from conclose.keys import _minimize_mask
 from oracles import (
     certifies_keys,
+    certifies_solutions,
     greedy_minimize,
     labelset,
     maximal_only,
@@ -332,16 +333,16 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
 
 
 @st.composite
-def wide_augmented_bases(draw):
-    """An augmented random or poset-convexity base over 25-40 elements,
-    past the exhaustive limit, so no brute-force twin can check it."""
+def wide_instances(draw):
+    """A random or poset-convexity instance over 25-40 elements, past the
+    exhaustive limit, so no brute-force twin can check it."""
     n = draw(st.integers(EXHAUSTIVE_LIMIT + 5, 40))
     seed = draw(st.integers(0, 2**16))
     if draw(st.booleans()):
         imps = draw(st.integers(n, 2 * n))
         max_premise = draw(st.integers(1, 4))
         edges = draw(st.integers(1, n))
-        return augment_with_inconsistency(*gen_random(n, imps, max_premise, edges, seed))
+        return gen_random(n, imps, max_premise, edges, seed)
     # Denser posets have thousands of convexity rules; the certificate
     # reads every one per key, so the density stays at or below the
     # benchmark's 0.3.
@@ -349,7 +350,11 @@ def wide_augmented_bases(draw):
     element = st.integers(0, n - 1)
     edge = st.tuples(element, element).filter(lambda e: e[0] != e[1])
     pairs = draw(st.lists(edge, min_size=1, max_size=8))
-    return augment_with_inconsistency(base, ConsistencyGraph(base.ground, pairs))
+    return base, ConsistencyGraph(base.ground, pairs)
+
+
+def wide_augmented_bases():
+    return wide_instances().map(lambda instance: augment_with_inconsistency(*instance))
 
 
 def _augmented(text):
@@ -368,12 +373,12 @@ def test_enumerate_keys_certified_past_the_exhaustive_limit(base):
 
 def _convexity(n, seed, pairs):
     base = gen_poset_convexity(gen_random_poset(n, seed))
-    return augment_with_inconsistency(base, ConsistencyGraph(base.ground, pairs))
+    return base, ConsistencyGraph(base.ground, pairs)
 
 
 MUTATED = {
-    "random40": lambda: augment_with_inconsistency(*gen_random(40, 80, 3, 20, 1)),
-    "premises1": lambda: _augmented("elements: a b c d e\nimp: a -> b\nimp: c -> d\nedge: b d\n"),
+    "random40": lambda: gen_random(40, 80, 3, 20, 1),
+    "premises1": lambda: parse_instance("elements: a b c d e\nimp: a -> b\nimp: c -> d\nedge: b d\n"),
     "convexity25": lambda: _convexity(25, 0, [(0, 9), (3, 17), (12, 20)]),
 }
 
@@ -383,11 +388,55 @@ MUTATED = {
 def test_certificate_rejects_a_family_missing_one_key(name, drop):
     # The fixed point of the certificate needs every key: with one gone,
     # some rewrite of the rest holds none of them.
-    base = MUTATED[name]()
+    base = augment_with_inconsistency(*MUTATED[name]())
     keys = [k.mask for k in enumerate_keys(base)]
     assert len(keys) >= 3 and certifies_keys(base, keys)
     del keys[{"first": 0, "middle": len(keys) // 2, "last": -1}[drop]]
     assert not certifies_keys(base, keys)
+
+
+def _certified_solve(base, graph):
+    # solve's keys and solutions, each checked by its certificate: with
+    # the keys exact, the solutions are the maximal consistent closed sets.
+    augmented = augment_with_inconsistency(base, graph)
+    keys = [k.mask for k in enumerate_keys(augmented)]
+    solutions = [s.mask for s in solve(base, graph)]
+    assert certifies_keys(augmented, keys)
+    assert certifies_solutions(base.ground.n, keys, solutions) is None
+    return keys, solutions
+
+
+@settings(PROPERTY, max_examples=20)
+@example(EVERYTHING)  # the empty key: no solution at all
+@example(parse_instance("elements: a b c\nimp: -> a\nedge: b c\n"))  # close(∅) is not empty
+@example(parse_instance("elements: a b c d e\nimp: a -> b\nimp: c -> d\nedge: b d\n"))
+@example(gen_random(40, 55, 3, 18, 0))  # 544 solutions
+@given(wide_instances())
+def test_solve_certified_past_the_exhaustive_limit(instance):
+    _certified_solve(*instance)
+
+
+@pytest.mark.parametrize("change", ["drop first", "drop middle", "drop last", "add non-maximal"])
+@pytest.mark.parametrize("name", ["random40", "convexity25"])
+def test_solution_certificate_rejects_a_changed_family(name, change):
+    # The meet of two solutions is closed and consistent but not maximal,
+    # which only the antichain check sees.
+    base, graph = MUTATED[name]()
+    keys, solutions = _certified_solve(base, graph)
+    n = base.ground.n
+    assert len(solutions) >= 3
+    if change == "add non-maximal":
+        meet = solutions[0] & solutions[1]
+        assert close(base, ElemSet(base.ground, meet)).mask == meet
+        assert certifies_solutions(n, keys, [*solutions, meet]) == meet
+        return
+    dropped = solutions.pop({"drop first": 0, "drop middle": len(solutions) // 2, "drop last": -1}[change])
+    witness = certifies_solutions(n, keys, solutions)
+    # Every solution left is genuine, so the witness holds no key and lies
+    # in the dropped solution only.
+    assert witness is not None and witness & ~dropped == 0
+    assert not any(k & ~witness == 0 for k in keys)
+    assert not any(witness & ~s == 0 for s in solutions)
 
 
 @PIPELINE
@@ -419,7 +468,6 @@ def test_certified_minimization_matches_greedy_oracle(instance, draws):
             return labelset(ElemSet(g, _minimize_mask(ch, full, s, proper)))
 
         for s in superkeys:
-            assert labelset(minimize_superkey(b, ElemSet(g, s))) == expected[s]
             assert minimized(s, SubsetIndex(g.n)) == expected[s]
         proper = SubsetIndex(g.n)
         assert minimized(full, proper) == expected[full]
