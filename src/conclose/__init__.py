@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "core": (
         "EXHAUSTIVE_LIMIT", "KEY_CAP", "MAX_GROUND", "MIS_CAP", "ConsistencyGraph",
-        "ElemSet", "GroundSet", "ImplicationalBase", "ValidationReport", "format_instance",
-        "format_sets", "load_instance", "parse_instance", "validate_instance",
+        "ElemSet", "GroundSet", "ImplicationalBase", "format_instance", "load_instance",
+        "parse_instance",
     ),
     "errors": (
         "ClosureError", "EmptyGraph", "GroundSetTooLarge", "HypothesesNotMet",

@@ -1,9 +1,9 @@
 """Ground sets, element sets, implicational bases, and consistency graphs.
 
-Everything downstream works over a fixed GroundSet and treats subsets of
-it as immutable bit vectors (ElemSet). Labels exist only at the I/O
-boundary; internally every element is a dense index, every set a Python
-int used as a bit mask, and every enumeration is emitted in lectic
+Everything downstream works over a fixed GroundSet. Labels exist only
+at the I/O boundary; internally every element is a dense index, every
+set a Python int used as a bit mask, wrapped in an immutable ElemSet
+only where it crosses the API, and every enumeration is emitted in lectic
 order, meaning sets compare by their bit pattern read as an integer
 with the lowest index in the least significant position.
 
@@ -144,12 +144,6 @@ class GroundSet:
         except KeyError:
             raise KeyError(f"unknown element {label!r}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroundSet) and self.labels == other.labels
 
@@ -161,9 +155,6 @@ class GroundSet:
 
     # ElemSet constructors. These are the usual entry points; ElemSet
     # itself is mask-level and easy to misuse.
-    def empty(self) -> "ElemSet":
-        return ElemSet(self, 0)
-
     def full(self) -> "ElemSet":
         return ElemSet(self, self.full_mask)
 
@@ -173,14 +164,6 @@ class GroundSet:
             mask |= 1 << self.index(lab)
         return ElemSet(self, mask)
 
-    def from_indices(self, indices: Iterable[int]) -> "ElemSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < self.n:
-                raise ValueError(f"element index {i} out of range")
-            mask |= 1 << i
-        return ElemSet(self, mask)
-
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -188,21 +171,20 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 class ElemSet:
     """An immutable subset of a GroundSet, stored as a bit mask.
 
-    Comparison operators follow set semantics: ``<=`` is subset and
-    ``<`` is proper subset. For lectic sorting use the ``mask`` field
-    as the sort key.
+    It marks the API and I/O boundary: the package computes on the int
+    ``mask``, which is also the lectic sort key, and reads labels off
+    an ElemSet only to show it.
     """
 
     __slots__ = ("ground", "mask")
 
     def __init__(self, ground: GroundSet, mask: int):
+        if not isinstance(mask, int):
+            raise TypeError(f"mask {mask!r} is not an int")
         if mask < 0 or mask > ground.full_mask:
             raise ValueError(f"mask {mask:#x} does not fit a {ground.n}-element ground set")
         self.ground = ground
         self.mask = mask
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
 
     def labels(self) -> tuple[str, ...]:
         # The mask's binary digits, lowest first, as bytes 0 and 1 pick
@@ -215,51 +197,6 @@ class ElemSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def _coerce(self, other: "ElemSet") -> int:
-        if not isinstance(other, ElemSet):
-            raise TypeError(f"expected an ElemSet operand, got {type(other).__name__}")
-        if self.ground != other.ground:
-            raise MismatchedGroundSets("operands live over different ground sets")
-        return other.mask
-
-    def __or__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.ground, self.mask | self._coerce(other))
-
-    def __and__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.ground, self.mask & self._coerce(other))
-
-    def __sub__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.ground, self.mask & ~self._coerce(other))
-
-    def __xor__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.ground, self.mask ^ self._coerce(other))
-
-    def complement(self) -> "ElemSet":
-        return ElemSet(self.ground, self.ground.full_mask ^ self.mask)
-
-    def add(self, index: int) -> "ElemSet":
-        return ElemSet(self.ground, self.mask | (1 << index))
-
-    def remove(self, index: int) -> "ElemSet":
-        return ElemSet(self.ground, self.mask & ~(1 << index))
-
-    def __le__(self, other: "ElemSet") -> bool:
-        m = self._coerce(other)
-        return self.mask & ~m == 0
-
-    def __lt__(self, other: "ElemSet") -> bool:
-        m = self._coerce(other)
-        return self.mask != m and self.mask & ~m == 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -276,8 +213,8 @@ class ElemSet:
 
 
 class _Frozen:
-    """Base of the small value classes, in place of frozen dataclasses:
-    ValidationReport here, SolveStats and SolutionSet in solver.py.
+    """Base of the small value classes SolveStats and SolutionSet in
+    solver.py, in place of frozen dataclasses.
 
     Each field is a slot, set once by ``_set`` in ``__init__``, which
     takes the values in slot order; later assignment raises
@@ -332,11 +269,10 @@ class ImplicationalBase:
     Each pair is checked once, and a conclusion of 0 or a mask that is
     negative or reaches past the ground set raises ValueError.
     Exact duplicate rules are dropped at construction, keeping the first
-    occurrence; the number removed is recorded for validation reports.
-    Instances are immutable and safe to share across threads.
+    occurrence. Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("ground", "rules", "duplicates_removed", "_chainer")
+    __slots__ = ("ground", "rules", "_chainer")
 
     def __init__(self, ground: GroundSet, rules: Iterable[tuple[int, int]]):
         n = ground.n
@@ -351,11 +287,7 @@ class ImplicationalBase:
                 )
         self.ground = ground
         self.rules = tuple(dict.fromkeys(pairs))  # first occurrences, in order
-        self.duplicates_removed = len(pairs) - len(self.rules)
         self._chainer = None  # lazily built forward-chaining engine
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     def __eq__(self, other) -> bool:
         return (
@@ -375,35 +307,27 @@ class ConsistencyGraph:
     """An irreflexive, symmetric conflict relation on the ground set.
 
     Edges are int index pairs, stored normalized as (low, high), sorted.
-    Self-loop pairs are dropped at construction and counted, mirroring
-    duplicate handling in ImplicationalBase.
+    Self-loop pairs are dropped at construction.
     """
 
-    __slots__ = ("ground", "edges", "self_loops_dropped")
+    __slots__ = ("ground", "edges")
 
     def __init__(self, ground: GroundSet, pairs: Iterable[tuple[int, int]]):
         n = ground.n
-        loops = 0
         normalized: set[tuple[int, int]] = set()
         for u, v in pairs:
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise TypeError(f"edge ({u!r}, {v!r}) endpoints must be int indices")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                loops += 1
-                continue
-            normalized.add((u, v) if u < v else (v, u))
+            if u != v:
+                normalized.add((u, v) if u < v else (v, u))
         self.ground = ground
         self.edges = tuple(sorted(normalized))
-        self.self_loops_dropped = loops
 
     @classmethod
     def from_labels(cls, ground: GroundSet, pairs: Iterable[tuple[str, str]]) -> "ConsistencyGraph":
         return cls(ground, [(ground.index(a), ground.index(b)) for a, b in pairs])
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
     def edge_labels(self) -> tuple[tuple[str, str], ...]:
         g = self.ground.labels
@@ -421,63 +345,6 @@ class ConsistencyGraph:
 
     def __repr__(self) -> str:
         return f"ConsistencyGraph(n={self.ground.n}, edges={len(self.edges)})"
-
-
-class ValidationReport(_Frozen):
-    """Structural facts about an instance, gathered by validate_instance.
-
-    ``n_edges`` 0 means the problem is trivial: the full set is the one
-    answer. ``empty_premises`` holds the positions of empty-premise rules.
-    """
-
-    __slots__ = (
-        "n_elements", "n_implications", "n_edges", "empty_premises",
-        "duplicates_removed", "self_loops_dropped",
-    )
-
-    def __init__(
-        self,
-        n_elements: int,
-        n_implications: int,
-        n_edges: int,
-        empty_premises: tuple[int, ...],
-        duplicates_removed: int,
-        self_loops_dropped: int,
-    ):
-        self._set(
-            n_elements, n_implications, n_edges, empty_premises, duplicates_removed,
-            self_loops_dropped,
-        )
-
-
-def validate_instance(base: ImplicationalBase, graph: ConsistencyGraph) -> ValidationReport:
-    """Check that a base and graph form a usable instance.
-
-    Raises MismatchedGroundSets when the two ground sets differ. The
-    returned report records degeneracies that are legal but worth
-    surfacing: an empty edge set (the problem is trivial), empty
-    premises (the system cannot be standard), and anything the
-    constructors normalized away.
-    """
-    if base.ground != graph.ground:
-        ours = set(base.ground.labels)
-        theirs = set(graph.ground.labels)
-        diff = sorted(ours.symmetric_difference(theirs)) or ["same labels, different order"]
-        raise MismatchedGroundSets(f"base and graph ground sets differ: {diff}")
-    empty = tuple(i for i, (p, _) in enumerate(base.rules) if not p)
-    return ValidationReport(
-        n_elements=base.ground.n,
-        n_implications=len(base.rules),
-        n_edges=len(graph.edges),
-        empty_premises=empty,
-        duplicates_removed=base.duplicates_removed,
-        self_loops_dropped=graph.self_loops_dropped,
-    )
-
-
-def format_sets(sets: Iterable[ElemSet]) -> str:
-    """Serialize a set family, one set per line, labels in ground order."""
-    return "\n".join(s.to_text() for s in sets)
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,6 @@ class Poset:
         labels = tuple(labels)
         return cls(labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)])
 
-    @classmethod
-    def antichain(cls, labels) -> "Poset":
-        return cls(tuple(labels))
-
     def __repr__(self) -> str:
         return f"Poset(n={self.ground.n})"
 

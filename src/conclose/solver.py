@@ -33,7 +33,6 @@ from .core import (
     ImplicationalBase,
     SubsetIndex,
     _Frozen,
-    format_sets,
     iter_bits,
 )
 from .errors import MismatchedGroundSets
@@ -61,7 +60,8 @@ class SolveStats(_Frozen):
 class SolutionSet(_Frozen):
     """The maximal consistent closed sets of an instance, in lectic order.
 
-    Equality and hashing read the ground set and the sets, not the stats.
+    ``sets`` is the one way to read them. Equality and hashing read the
+    ground set and the sets, not the stats.
     """
 
     __slots__ = ("ground", "sets", "stats")
@@ -71,15 +71,6 @@ class SolutionSet(_Frozen):
 
     def _key(self) -> tuple:
         return self.ground, self.sets
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def serialize(self) -> str:
-        return format_sets(self.sets)
 
 
 def _require_shared_ground(base: ImplicationalBase, graph: ConsistencyGraph) -> None:

@@ -8,16 +8,20 @@ the two certificates, of keys and of solutions, which read int masks
 bases past the exhaustive limit with thousands of rules.
 """
 
+from functools import cache
 from itertools import chain, combinations
 
 
+@cache
 def rule_pairs(base):
+    """The rules of ``base`` as label-set pairs, built once per base:
+    bases are immutable, and equal bases have equal pairs."""
     labels = base.ground.labels
-    return [
+    return tuple(
         (frozenset(labels[i] for i in range(len(labels)) if p >> i & 1),
          frozenset(labels[i] for i in range(len(labels)) if c >> i & 1))
         for p, c in base.rules
-    ]
+    )
 
 
 def edge_pairs(graph):

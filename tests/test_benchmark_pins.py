@@ -57,7 +57,7 @@ def test_pinned_instance_gives_its_pinned_answer(canonical_text, workload, pin):
     # The digest is the sha256 of the lectic solution masks, space-joined.
     base, graph = parse_instance(canonical_text(workload["generator"], pin["params"]))
     run = brute_force_solve if workload["command"] == "oracle" else solve
-    masks = [s.mask for s in run(base, graph)]
+    masks = [s.mask for s in run(base, graph).sets]
     assert len(masks) == pin["solutions"]
     assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == pin["digest"]
 

@@ -48,7 +48,7 @@ def test_close_demo_values(demo_base):
     g = demo_base.ground
     assert close(demo_base, g.set_of("1", "3", "5")) == g.set_of("1", "2", "3", "5")
     assert close(demo_base, g.set_of("4")) == g.set_of("1", "4")
-    assert close(demo_base, g.empty()) == g.empty()
+    assert close(demo_base, ElemSet(g, 0)) == ElemSet(g, 0)
     assert close(demo_base, g.full()) == g.full()
 
 
@@ -96,8 +96,8 @@ def test_close_operator_laws_random():
             y = ElemSet(g, rng.randrange(1 << g.n))
             z = ElemSet(g, y.mask | rng.randrange(1 << g.n))
             cy = close(base, y)
-            assert y <= cy
-            assert cy <= close(base, z)
+            assert y.mask & ~cy.mask == 0
+            assert cy.mask & ~close(base, z).mask == 0
             assert close(base, cy) == cy
             assert labelset(cy) == naive_close(base, y.labels())
 
@@ -177,7 +177,7 @@ def test_family_contains_and_serialize():
 
 def test_covers_of_bottom_in_powerset():
     base = simple("elements: a b\n")
-    assert as_label_sets(covers(base, base.ground.empty())) == {
+    assert as_label_sets(covers(base, ElemSet(base.ground, 0))) == {
         frozenset({"a"}),
         frozenset({"b"}),
     }
@@ -238,11 +238,11 @@ def test_cnf_meet_irreducibles_missing_one_clause_keep_the_rest():
     z = g.index("z")
     y = [g.index("y1"), g.index("y2")]
     for m, _ in meet_irreducibles(base):
-        if z not in m:
+        if not m.mask >> z & 1:
             continue
         for i in (0, 1):
-            if y[i] not in m:
-                assert y[1 - i] in m, m.to_text()
+            if not m.mask >> y[i] & 1:
+                assert m.mask >> y[1 - i] & 1, m.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_generator_subsets_trace_back():
                 s = gen.mask
                 while True:
                     a = ElemSet(base.ground, s)
-                    assert close(base, a) & gen == a
+                    assert close(base, a).mask & gen.mask == s
                     if s == 0:
                         break
                     s = (s - 1) & gen.mask

@@ -40,7 +40,7 @@ DEMO_KEYS = {
 
 def test_augment_adds_one_rule_per_edge(demo_base, demo_graph):
     aug = augment_with_inconsistency(demo_base, demo_graph)
-    assert len(aug) == 7
+    assert len(aug.rules) == 7
     extra = aug.rules[4:]
     g = demo_base.ground
     # edge rules follow the graph's normalized edge order
@@ -58,7 +58,7 @@ def test_augment_requires_edges(demo_base, demo_graph):
 def test_augment_of_empty_base():
     base, graph = parse_instance("elements: a b\nedge: a b\n")
     aug = augment_with_inconsistency(base, graph)
-    assert len(aug) == 1
+    assert len(aug.rules) == 1
     assert aug.rules == ((0b11, 0b11),)
 
 
@@ -226,7 +226,7 @@ def test_saturation_work_guards(monkeypatch):
     merged: dict[int, int] = {}
     for p, c in base.rules:
         merged[p] = merged.get(p, 0) | c
-    assert len(ch.premises) == len(merged) < len(base)
+    assert len(ch.premises) == len(merged) < len(base.rules)
     assert dict(zip(ch.premises, ch.conclusions)) == merged
 
     aug = augment_with_inconsistency(base, ConsistencyGraph(base.ground, [(0, 9), (2, 7), (4, 5)]))

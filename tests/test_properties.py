@@ -132,6 +132,13 @@ def test_subset_index_edge_cases():
     assert minimal(3, [7, 7, 5, 0b100]) == [0b100]
 
 
+def _mask(indices):
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 @st.composite
 def instances(draw, max_n=16):
     """A random base with conflict edges over at most ``max_n`` elements."""
@@ -145,7 +152,7 @@ def instances(draw, max_n=16):
     # walks, small at n=16.
     rules = draw(st.lists(rule, min_size=n, max_size=2 * n))
     masks = [
-        (g.from_indices(p).mask, g.from_indices(c).mask)
+        (_mask(p), _mask(c))
         for p, c in rules
         if not set(c) <= set(p)
     ]
@@ -190,7 +197,7 @@ def test_brute_force_solve_matches_maximal_consistent_closed_sets(instance):
     family = naive_family(base)
     consistent = [s for s in family if naive_consistent(graph, s)]
     expected = sorted(g.set_of(*s).mask for s in maximal_only(consistent))
-    assert [s.mask for s in brute_force_solve(base, graph)] == expected
+    assert [s.mask for s in brute_force_solve(base, graph).sets] == expected
     members = set(expected)
     for s in family:
         candidate = g.set_of(*s)
@@ -400,7 +407,7 @@ def _certified_solve(base, graph):
     # the keys exact, the solutions are the maximal consistent closed sets.
     augmented = augment_with_inconsistency(base, graph)
     keys = [k.mask for k in enumerate_keys(augmented)]
-    solutions = [s.mask for s in solve(base, graph)]
+    solutions = [s.mask for s in solve(base, graph).sets]
     assert certifies_keys(augmented, keys)
     assert certifies_solutions(base.ground.n, keys, solutions) is None
     return keys, solutions

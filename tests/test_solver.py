@@ -5,6 +5,7 @@ import pytest
 from conclose import (
     EXHAUSTIVE_LIMIT,
     ConsistencyGraph,
+    ElemSet,
     GroundSetTooLarge,
     OutputLimitExceeded,
     brute_force_solve,
@@ -31,15 +32,15 @@ DEMO_SOLUTIONS = {
 
 def test_solve_demo(demo_base, demo_graph):
     sol = solve(demo_base, demo_graph)
-    assert as_label_sets(sol) == DEMO_SOLUTIONS
-    assert [s.to_text() for s in sol] == ["1 2 3", "3 5", "1 4 5"]
+    assert as_label_sets(sol.sets) == DEMO_SOLUTIONS
+    assert [s.to_text() for s in sol.sets] == ["1 2 3", "3 5", "1 4 5"]
     assert sol.stats.key_count == 4
     assert all(t >= 0 for t in sol.stats.seconds.values())
 
 
 def test_solve_without_edges_returns_everything(demo_base):
     sol = solve(demo_base, ConsistencyGraph(demo_base.ground, []))
-    assert [s.mask for s in sol] == [demo_base.ground.full_mask]
+    assert [s.mask for s in sol.sets] == [demo_base.ground.full_mask]
     assert sol.stats.key_count == 0
 
 
@@ -47,7 +48,7 @@ def test_solve_reduces_to_graph_mis_without_rules():
     base, graph = parse_instance(
         "elements: a b c\nedge: a b\nedge: b c\nedge: a c\n"
     )
-    assert as_label_sets(solve(base, graph)) == {
+    assert as_label_sets(solve(base, graph).sets) == {
         frozenset({"a"}),
         frozenset({"b"}),
         frozenset({"c"}),
@@ -56,15 +57,15 @@ def test_solve_reduces_to_graph_mis_without_rules():
 
 def test_brute_force_demo(demo_base, demo_graph):
     sol = brute_force_solve(demo_base, demo_graph)
-    assert as_label_sets(sol) == DEMO_SOLUTIONS
-    assert [s.mask for s in sol] == sorted(s.mask for s in sol)
+    assert as_label_sets(sol.sets) == DEMO_SOLUTIONS
+    assert [s.mask for s in sol.sets] == sorted(s.mask for s in sol.sets)
 
 
 def test_complete_graph_leaves_singletons():
     base, graph = parse_instance(
         "elements: a b c\nedge: a b\nedge: b c\nedge: a c\n"
     )
-    assert as_label_sets(brute_force_solve(base, graph)) == {
+    assert as_label_sets(brute_force_solve(base, graph).sets) == {
         frozenset({"a"}),
         frozenset({"b"}),
         frozenset({"c"}),
@@ -73,11 +74,11 @@ def test_complete_graph_leaves_singletons():
 
 def test_solutions_satisfy_membership_test(demo_base, demo_graph):
     sol = solve(demo_base, demo_graph)
-    for s in sol:
+    for s in sol.sets:
         assert is_solution(demo_base, demo_graph, s)
-    for a in sol:
-        for b in sol:
-            assert a == b or not a < b
+    for a in sol.sets:
+        for b in sol.sets:
+            assert a == b or a.mask & ~b.mask
 
 
 def test_is_solution_rejects_non_members(demo_base, demo_graph):
@@ -100,8 +101,8 @@ def test_solver_agrees_with_both_oracles_on_randoms():
             n_edges=rng.randint(0, n * (n - 1) // 2),
             seed=seed,
         )
-        fast = as_label_sets(solve(base, graph))
-        slow = as_label_sets(brute_force_solve(base, graph))
+        fast = as_label_sets(solve(base, graph).sets)
+        slow = as_label_sets(brute_force_solve(base, graph).sets)
         assert fast == slow
         assert fast == naive_solve(base, graph)
 
@@ -134,7 +135,7 @@ def test_oracle_workload_pins(seed, n_closed, n_solutions):
     base, graph = gen_random(18, 24, 3, 5, seed)
     assert len(enumerate_closed_sets(base)) == n_closed
     oracle = brute_force_solve(base, graph)
-    assert len(oracle) == n_solutions
+    assert len(oracle.sets) == n_solutions
     assert oracle.sets == solve(base, graph).sets
 
 
@@ -186,16 +187,11 @@ def test_is_solution_reads_edges_through_one_subset_index(monkeypatch, demo_base
     assert len(queried) == 3
 
 
-def test_solution_serialize(demo_base, demo_graph):
-    text = solve(demo_base, demo_graph).serialize()
-    assert text.splitlines() == ["1 2 3", "3 5", "1 4 5"]
-
-
 def test_empty_key_base_has_no_co_atoms_and_no_solutions():
     # "-> everything" closes the empty set to the full set: the empty set
     # is the one key, so no proper closed set and no consistent one exists.
     base, graph = parse_instance("elements: a b c\nimp: -> a b c\nedge: a b\n")
-    assert enumerate_keys(base) == (base.ground.empty(),)
+    assert enumerate_keys(base) == (ElemSet(base.ground, 0),)
     assert co_atoms(base) == []
     assert meet_irreducibles(base) == []
     sol = solve(base, graph)
