@@ -21,11 +21,11 @@ _EXPORTS = {
     "analysis": (
         "AnalysisReport", "ArrowRelations", "CheckResult", "DRelation", "analyze",
         "arrow_relations", "check_atomistic", "check_biatomic", "check_distributive",
-        "check_independent", "check_mingen_independence", "check_modular", "check_standard",
+        "check_mingen_independence", "check_modular", "check_standard",
         "d_relation", "has_d_cycle", "verify_log_bound",
     ),
     "closure": (
-        "close", "covers", "enumerate_closed_sets",
+        "close", "enumerate_closed_sets",
     ),
     "core": (
         "EXHAUSTIVE_LIMIT", "KEY_CAP", "MAX_GROUND", "MIS_CAP", "ConsistencyGraph",
@@ -33,9 +33,8 @@ _EXPORTS = {
         "parse_instance",
     ),
     "errors": (
-        "ClosureError", "EmptyGraph", "GroundSetTooLarge", "HypothesesNotMet",
-        "InvalidParams", "MismatchedGroundSets", "NotClosed", "NotStandard",
-        "OutputLimitExceeded", "ParseError",
+        "ClosureError", "GroundSetTooLarge", "HypothesesNotMet", "InvalidParams",
+        "MismatchedGroundSets", "NotStandard", "OutputLimitExceeded", "ParseError",
     ),
     "generators": (
         "CnfFormula", "Poset", "gen_cnf_lower_bounded", "gen_exponential", "gen_fano",
@@ -43,12 +42,12 @@ _EXPORTS = {
         "gen_reduction", "parse_dimacs_cnf",
     ),
     "keys": (
-        "augment_with_inconsistency", "brute_force_keys", "caratheodory_number",
-        "enumerate_keys", "minimal_generators",
+        "augment_with_inconsistency", "caratheodory_number", "enumerate_keys",
+        "minimal_generators",
     ),
     "solver": (
-        "SolutionSet", "SolveStats", "brute_force_solve", "co_atoms", "is_solution",
-        "meet_irreducibles", "solve",
+        "SolutionSet", "SolveStats", "brute_force_solve", "co_atoms", "meet_irreducibles",
+        "solve",
     ),
     "transversal": (
         "maximal_independent_sets",

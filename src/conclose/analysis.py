@@ -30,7 +30,7 @@ from .core import (
     iter_bits,
     iter_submasks,
 )
-from .errors import GroundSetTooLarge, HypothesesNotMet, MismatchedGroundSets, NotStandard
+from .errors import GroundSetTooLarge, HypothesesNotMet, NotStandard
 from .keys import _element_keys, caratheodory_number
 from .solver import meet_irreducibles
 
@@ -197,17 +197,10 @@ def check_modular(base: ImplicationalBase) -> CheckResult:
     return CheckResult(True)
 
 
-def check_independent(base: ImplicationalBase, subset: ElemSet) -> CheckResult:
-    """Independence of a set: closure commutes with intersection on all
-    pairs of its subsets. Refuses sets above EXHAUSTIVE_LIMIT."""
-    if subset.ground != base.ground:
-        raise MismatchedGroundSets("set and base over different ground sets")
-    return _check_independent(base, subset.mask, None)
-
-
 def _check_independent(base: ImplicationalBase, mask: int, memo: dict[int, int] | None) -> CheckResult:
-    """check_independent on ``mask``, the set X, reading and filling the
-    closure memo when given one.
+    """Independence of ``mask``, the set X: closure commutes with
+    intersection on all pairs of its subsets. Refuses sets above
+    EXHAUSTIVE_LIMIT, and reads and fills the closure memo when given one.
 
     Closure commutes with intersection on all pairs of subsets of X iff
     every Y ⊆ X has cl(Y) = cl(X) ∩ ⋂ cl(X ∖ {b}) over b in X ∖ Y: Y is

@@ -80,9 +80,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_keys(args: argparse.Namespace) -> int:
     base, graph = load_instance(args.instance)
-    if graph.edges:
-        base = augment_with_inconsistency(base, graph)
-    keys = enumerate_keys(base, cap=args.cap_keys)
+    keys = enumerate_keys(augment_with_inconsistency(base, graph), cap=args.cap_keys)
     _emit(
         args,
         lambda: {"count": len(keys), "keys": _labels(keys)},

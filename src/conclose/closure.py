@@ -1,4 +1,4 @@
-"""Closure operator of an implicational base, closed sets and covers.
+"""Closure operator of an implicational base and its closed sets.
 
 The closure of a set is computed by forward chaining with per-rule
 counters (LinClosure) over the base compiled to one rule per distinct
@@ -26,7 +26,7 @@ from .core import (
     iter_bits,
     minimal,
 )
-from .errors import MismatchedGroundSets, NotClosed
+from .errors import MismatchedGroundSets
 
 
 class _Chainer:
@@ -188,14 +188,3 @@ def enumerate_closed_sets(base: ImplicationalBase) -> tuple[ElemSet, ...]:
 def _covers(ch: _Chainer, f: int) -> list[int]:
     """The masks of the upper covers of the closed mask ``f``, in lectic order."""
     return minimal(ch.n, (ch.close(f | (1 << i)) for i in iter_bits(ch.full & ~f)))
-
-
-def covers(base: ImplicationalBase, closed_set: ElemSet) -> list[ElemSet]:
-    """Upper covers of a closed set in the lattice of closed sets.
-
-    They are the minimal closures obtained by adding one missing element.
-    """
-    if close(base, closed_set) != closed_set:
-        raise NotClosed(f"{closed_set!r} is not closed")
-    g = base.ground
-    return [ElemSet(g, m) for m in _covers(_chainer(base), closed_set.mask)]

@@ -15,11 +15,12 @@ The plain-text instance format also lives here:
     imp: 4 -> 1
     edge: 3 4
 
-Element names are non-whitespace strings that contain no ``#`` and are
-not ``->``; GroundSet enforces this, so every instance formats to text
-that parses back. An instance has exactly one ``elements:`` line, any
-number of ``imp:`` and ``edge:`` lines, and ``#`` starts a comment
-anywhere on a line.
+Element names are non-whitespace strings that contain no ``#`` or
+``,`` and are not ``->``; GroundSet enforces this, so every instance
+formats to text that parses back and every label can be named in the
+comma-separated ``--set`` of the CLI. An instance has exactly one
+``elements:`` line, any number of ``imp:`` and ``edge:`` lines, and
+``#`` starts a comment anywhere on a line.
 """
 
 from __future__ import annotations
@@ -123,9 +124,12 @@ class GroundSet:
         for lab in labels:
             if not isinstance(lab, str) or not lab or lab.split() != [lab]:
                 raise ValueError(f"element labels must be non-empty and whitespace-free: {lab!r}")
-            # The text format reads '#' as a comment and '->' as the rule arrow.
+            # The text format reads '#' as a comment and '->' as the rule
+            # arrow; the CLI's --set splits its labels on ','.
             if "#" in lab:
                 raise ValueError(f"'#' starts a comment and cannot be in an element label: {lab!r}")
+            if "," in lab:
+                raise ValueError(f"',' separates labels and cannot be in an element label: {lab!r}")
             if lab == "->":
                 raise ValueError("'->' is reserved and cannot be an element label")
         if len(set(labels)) != len(labels):
@@ -272,7 +276,7 @@ class ImplicationalBase:
     occurrence. Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("ground", "rules", "_chainer")
+    __slots__ = ("ground", "rules", "_chainer", "_hash")
 
     def __init__(self, ground: GroundSet, rules: Iterable[tuple[int, int]]):
         n = ground.n
@@ -288,6 +292,7 @@ class ImplicationalBase:
         self.ground = ground
         self.rules = tuple(dict.fromkeys(pairs))  # first occurrences, in order
         self._chainer = None  # lazily built forward-chaining engine
+        self._hash = None  # set by the first __hash__; a solve never hashes its bases
 
     def __eq__(self, other) -> bool:
         return (
@@ -297,7 +302,9 @@ class ImplicationalBase:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.rules))
+        if self._hash is None:
+            self._hash = hash((self.ground, self.rules))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ImplicationalBase(n={self.ground.n}, implications={len(self.rules)})"

@@ -15,14 +15,6 @@ class MismatchedGroundSets(ClosureError):
     """Two objects that must share a ground set do not."""
 
 
-class NotClosed(ClosureError):
-    """An operation that requires a closed set received one that is not."""
-
-
-class EmptyGraph(ClosureError):
-    """The consistency graph has no edges where at least one is required."""
-
-
 class NotStandard(ClosureError):
     """The operation is only defined for standard closure systems."""
 

@@ -76,10 +76,9 @@ from .core import (
     ElemSet,
     ImplicationalBase,
     SubsetIndex,
-    _refuse_past_exhaustive_limit,
     iter_bits,
 )
-from .errors import EmptyGraph, MismatchedGroundSets, OutputLimitExceeded
+from .errors import MismatchedGroundSets, OutputLimitExceeded
 
 
 def _with_full_rules(base: ImplicationalBase, premises: Iterable[int]) -> ImplicationalBase:
@@ -95,12 +94,11 @@ def augment_with_inconsistency(
 
     After augmentation a set closes to the full ground set exactly when
     its original closure is inconsistent or already full, which is what
-    turns conflict-respecting enumeration into a pure key problem.
+    turns conflict-respecting enumeration into a pure key problem. With
+    no edges there is nothing to add, and the result equals ``base``.
     """
     if base.ground != graph.ground:
         raise MismatchedGroundSets("base and graph ground sets differ")
-    if not graph.edges:
-        raise EmptyGraph("augmentation needs at least one conflict edge")
     return _with_full_rules(base, ((1 << u) | (1 << v) for u, v in graph.edges))
 
 
@@ -217,27 +215,6 @@ def enumerate_keys(base: ImplicationalBase, cap: int = KEY_CAP) -> tuple[ElemSet
     carrying the masks of those ``cap + 1`` keys.
     """
     return tuple(ElemSet(base.ground, m) for m in _key_masks(base, cap))
-
-
-def brute_force_keys(base: ImplicationalBase) -> tuple[ElemSet, ...]:
-    """Reference key enumeration by scanning all subsets, smallest first.
-
-    Independent of the saturation path; used as an oracle in tests and
-    available for cross-checking at desk scale.
-    """
-    g = base.ground
-    n = g.n
-    _refuse_past_exhaustive_limit(n)
-    ch = _chainer(base)
-    full = g.full_mask
-    found: list[int] = []
-    index = SubsetIndex(n)
-    for mask in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
-        if not index.has_subset_of(mask) and ch.close(mask) == full:
-            index.add(mask)
-            found.append(mask)
-    found.sort()
-    return tuple(ElemSet(g, m) for m in found)
 
 
 def _element_keys(base: ImplicationalBase, element: int) -> tuple[int, ...]:

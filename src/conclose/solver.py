@@ -33,7 +33,6 @@ from .core import (
     ImplicationalBase,
     SubsetIndex,
     _Frozen,
-    iter_bits,
 )
 from .errors import MismatchedGroundSets
 from .keys import _element_keys, _key_masks, augment_with_inconsistency, enumerate_keys
@@ -172,25 +171,3 @@ def brute_force_solve(base: ImplicationalBase, graph: ConsistencyGraph) -> Solut
         tuple(ElemSet(g, m) for m in maximal),
         SolveStats(seconds={"enumerate_and_filter": t1 - t0}),
     )
-
-
-def is_solution(base: ImplicationalBase, graph: ConsistencyGraph, candidate: ElemSet) -> bool:
-    """Membership test: closed, consistent, and maximally so.
-
-    Maximality means every proper extension closes into a set that
-    contains a conflict edge. Each conflict test is one query to a
-    SubsetIndex over the edge masks.
-    """
-    _require_shared_ground(base, graph)
-    if candidate.ground != base.ground:
-        raise MismatchedGroundSets("candidate over a different ground set")
-    ch = _chainer(base)
-    m = candidate.mask
-    if ch.close(m) != m:
-        return False
-    edges = SubsetIndex(base.ground.n)
-    for u, v in graph.edges:
-        edges.add(1 << u | 1 << v)
-    if edges.has_subset_of(m):
-        return False
-    return all(edges.has_subset_of(ch.close(m | 1 << i)) for i in iter_bits(ch.full & ~m))

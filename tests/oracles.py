@@ -2,10 +2,11 @@
 
 Everything here works on plain frozensets of labels and rescans rules
 until nothing changes, sharing no code with the bitmask kernels under
-test. Keep it dumb; speed is irrelevant at test sizes. The exceptions are
-the two certificates, of keys and of solutions, which read int masks
-(the first with its own rescanning closure) so that they can run on
-bases past the exhaustive limit with thousands of rules.
+test. Keep it dumb; speed is irrelevant at test sizes. The exceptions
+read int masks: the key scan, which closes every subset of up to 16
+elements, and the two certificates, of keys and of solutions, which run
+on bases past the exhaustive limit with thousands of rules. The key scan
+and the key certificate share one rescanning closure of their own.
 """
 
 from functools import cache
@@ -91,6 +92,38 @@ def naive_keys(base):
     return set(minimal_only(closing))
 
 
+def mask_close(rules, mask):
+    """The closure of ``mask`` under the ``(premise, conclusion)`` mask
+    pairs ``rules``, rescanning them until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for p, c in rules:
+            if p & ~mask == 0 and c & ~mask:
+                mask |= c
+                changed = True
+    return mask
+
+
+def brute_keys(base):
+    """The minimal keys of ``base`` as int masks in lectic order.
+
+    Every subset is visited in increasing order, after all of its own
+    subsets. It is a superkey when one of the subsets one element smaller
+    is, else when it closes to the full set, and then it is a key.
+    """
+    n, full, rules = base.ground.n, base.ground.full_mask, base.rules
+    superkey = bytearray(1 << n)
+    keys = []
+    for m in range(1 << n):
+        if any(superkey[m & ~(1 << i)] for i in range(n) if m >> i & 1):
+            superkey[m] = 1
+        elif mask_close(rules, m) == full:
+            superkey[m] = 1
+            keys.append(m)
+    return keys
+
+
 def certifies_keys(base, keys):
     """Whether the int masks ``keys`` are exactly the minimal keys of ``base``.
 
@@ -103,24 +136,14 @@ def certifies_keys(base, keys):
     """
     full = base.ground.full_mask
     rules = base.rules
-
-    def close(mask):
-        changed = True
-        while changed:
-            changed = False
-            for p, c in rules:
-                if p & ~mask == 0 and c & ~mask:
-                    mask |= c
-                    changed = True
-        return mask
-
     family = list(keys)
     if not family or len(set(family)) != len(family):
         return False
     for k in family:
-        if close(k) != full:
+        if mask_close(rules, k) != full:
             return False
-        if any(close(k & ~(1 << i)) == full for i in range(base.ground.n) if k >> i & 1):
+        drops = (k & ~(1 << i) for i in range(base.ground.n) if k >> i & 1)
+        if any(mask_close(rules, d) == full for d in drops):
             return False
     rewrites = {a | (k & ~b) for k in family for a, b in rules if b & k}
     by_size = sorted(family, key=int.bit_count)

@@ -23,18 +23,15 @@ from conclose import (
     NotStandard,
     analyze,
     arrow_relations,
-    brute_force_keys,
     brute_force_solve,
     caratheodory_number,
     check_atomistic,
     check_biatomic,
     check_distributive,
-    check_independent,
     check_mingen_independence,
     check_modular,
     check_standard,
     close,
-    covers,
     d_relation,
     enumerate_closed_sets,
     gen_cnf_lower_bounded,
@@ -50,6 +47,8 @@ from conclose import (
     parse_instance,
     verify_log_bound,
 )
+from conclose.analysis import _check_independent
+from conclose.closure import _chainer, _covers
 from conftest import WIDE_BESIDE_A_FAILURE
 from oracles import (
     labelset,
@@ -161,11 +160,16 @@ def test_distributive_implies_modular_on_randoms():
             assert check_biatomic(base).ok
 
 
+def independent(base, subset):
+    # The independence check of one set, through its mask kernel.
+    return _check_independent(base, subset.mask, None)
+
+
 def test_independent_small_sets(demo_base):
     g = demo_base.ground
-    assert check_independent(demo_base, ElemSet(g, 0)).ok
-    assert check_independent(demo_base, g.set_of("3")).ok
-    assert check_independent(demo_base, g.set_of("1", "3")).ok == naive_independent(
+    assert independent(demo_base, ElemSet(g, 0)).ok
+    assert independent(demo_base, g.set_of("3")).ok
+    assert independent(demo_base, g.set_of("1", "3")).ok == naive_independent(
         demo_base, {"1", "3"}
     )
 
@@ -176,10 +180,10 @@ def test_independent_on_projective_points():
     # three collinear points collapse, any other triple stands alone
     line = close(base, g.set_of("1", "2"))
     assert len(line) == 3
-    assert not check_independent(base, line).ok
+    assert not independent(base, line).ok
     triangle = g.set_of("1", "2", "4")
     assert len(close(base, triangle)) == 7
-    assert check_independent(base, triangle).ok
+    assert independent(base, triangle).ok
     assert naive_independent(base, triangle.labels())
 
 
@@ -194,14 +198,14 @@ def test_independence_agrees_with_chain_condition_when_modular():
         subset = ElemSet(g, mask)
         if len(subset) > 4:
             continue
-        assert check_independent(base, subset).ok == naive_chain_condition(base, labelset(subset))
+        assert independent(base, subset).ok == naive_chain_condition(base, labelset(subset))
 
     # With a non-empty cl(∅) each prefix meets the next closure in cl(∅),
     # not in the empty set: {b, c} is independent under "-> a".
     bottom_a = simple("elements: a b c\nimp: -> a\n")
     bc = bottom_a.ground.set_of("b", "c")
     assert check_modular(bottom_a).ok
-    assert check_independent(bottom_a, bc).ok and naive_chain_condition(bottom_a, labelset(bc))
+    assert independent(bottom_a, bc).ok and naive_chain_condition(bottom_a, labelset(bc))
 
     # Random small modular bases, empty premises allowed, on every subset.
     modular = 0
@@ -215,7 +219,7 @@ def test_independence_agrees_with_chain_condition_when_modular():
         modular += 1
         for mask in range(1 << n):
             subset = ElemSet(g, mask)
-            assert check_independent(base, subset).ok == naive_chain_condition(base, labelset(subset))
+            assert independent(base, subset).ok == naive_chain_condition(base, labelset(subset))
     assert modular >= 100
 
 
@@ -308,14 +312,14 @@ def test_d_relation_cnf_family_is_acyclic():
 @pytest.mark.parametrize("n, seed", [(24, 1), (27, 2), (30, 3)])
 def test_structure_queries_past_the_exhaustive_limit(n, seed):
     # Poset convexity has two-element premises, so its largest minimal
-    # generator is 2; covers() checks each meet-irreducible pair with
-    # no key query.
+    # generator is 2; the cover kernel checks each meet-irreducible pair
+    # with no key query.
     base = gen_poset_convexity(gen_random_poset(n, seed))
     assert n > EXHAUSTIVE_LIMIT
     pairs = meet_irreducibles(base)
     assert pairs
     for m, m_star in pairs:
-        assert covers(base, m) == [m_star]
+        assert _covers(_chainer(base), m.mask) == [m_star.mask]
     cyclic, cycle = has_d_cycle(base)
     assert cyclic == (cycle is not None)
     res = check_distributive(base)
@@ -332,14 +336,12 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
     "check",
     [
         enumerate_closed_sets,
-        brute_force_keys,
         lambda base: brute_force_solve(base, ConsistencyGraph(base.ground, [])),
         check_modular,
-        lambda base: check_independent(base, base.ground.full()),
+        lambda base: _check_independent(base, base.ground.full_mask, None),
     ],
     ids=[
         "enumerate_closed_sets",
-        "brute_force_keys",
         "brute_force_solve",
         "check_modular",
         "check_independent",
@@ -347,7 +349,7 @@ def test_structure_queries_past_the_exhaustive_limit(n, seed):
 )
 def test_exhaustive_checks_refuse_past_the_limit(check):
     # Each check reaches the closed-set enumeration, or the subset scan of
-    # check_independent, before any exponential work, and both refuse
+    # the independence check, before any exponential work, and both refuse
     # before their first set.
     n = EXHAUSTIVE_LIMIT + 1
     base = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
@@ -438,7 +440,7 @@ def test_structure_checks_past_the_old_bounds():
     free12 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(12)) + "\n")[0]
     assert check_modular(free12).ok
     free16 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(16)) + "\n")[0]
-    assert check_independent(free16, free16.ground.full()).ok
+    assert independent(free16, free16.ground.full()).ok
     n = EXHAUSTIVE_LIMIT + 1
     free21 = parse_instance("elements: " + " ".join(f"e{i}" for i in range(n)) + "\n")[0]
     assert check_biatomic(free21).ok
@@ -453,7 +455,7 @@ def test_independence_holds_one_path_not_every_closure():
     close(free14, ElemSet(free14.ground, 0))  # the closure engine is built before tracing
     tracemalloc.start()
     try:
-        assert check_independent(free14, free14.ground.full()).ok
+        assert independent(free14, free14.ground.full()).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

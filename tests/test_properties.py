@@ -22,12 +22,10 @@ from conclose import (
     GroundSet,
     ImplicationalBase,
     augment_with_inconsistency,
-    brute_force_keys,
     brute_force_solve,
     caratheodory_number,
     check_biatomic,
     check_distributive,
-    check_independent,
     check_modular,
     check_standard,
     close,
@@ -41,18 +39,19 @@ from conclose import (
     gen_random,
     gen_random_poset,
     has_d_cycle,
-    is_solution,
     maximal_independent_sets,
     meet_irreducibles,
     minimal_generators,
     parse_instance,
     solve,
 )
+from conclose.analysis import _check_independent
 from conclose.closure import _chainer
 from conclose.core import SubsetIndex, minimal
 from conclose.errors import OutputLimitExceeded
 from conclose.keys import _minimize_mask
 from oracles import (
+    brute_keys,
     certifies_keys,
     certifies_solutions,
     greedy_minimize,
@@ -170,7 +169,7 @@ def instances(draw, max_n=16):
 def test_enumerate_keys_matches_brute_force(instance):
     base, graph = instance
     for b in (base, augment_with_inconsistency(base, graph)):
-        assert enumerate_keys(b) == brute_force_keys(b)
+        assert [k.mask for k in enumerate_keys(b)] == brute_keys(b)
 
 
 @PIPELINE
@@ -189,19 +188,13 @@ def test_solve_matches_brute_force(instance):
 @given(instances(max_n=10))
 def test_brute_force_solve_matches_maximal_consistent_closed_sets(instance):
     # The oracle prunes its closed-set walk at the first edge and keeps
-    # maximal sets through a SubsetIndex; check it, and the membership
-    # test on every closed set, against the naive family filtered by the
-    # definition.
+    # maximal sets through a SubsetIndex; check it against the naive
+    # family filtered by the definition.
     base, graph = instance
     g = base.ground
-    family = naive_family(base)
-    consistent = [s for s in family if naive_consistent(graph, s)]
+    consistent = [s for s in naive_family(base) if naive_consistent(graph, s)]
     expected = sorted(g.set_of(*s).mask for s in maximal_only(consistent))
     assert [s.mask for s in brute_force_solve(base, graph).sets] == expected
-    members = set(expected)
-    for s in family:
-        candidate = g.set_of(*s)
-        assert is_solution(base, graph, candidate) == (candidate.mask in members)
 
 
 @PIPELINE
@@ -336,7 +329,7 @@ def test_enumerate_keys_matches_brute_force_on_shared_premises(instance):
     if graph.edges:
         bases.append(augment_with_inconsistency(base, graph))
     for b in bases:
-        assert enumerate_keys(b) == brute_force_keys(b)
+        assert [k.mask for k in enumerate_keys(b)] == brute_keys(b)
 
 
 @st.composite
@@ -465,8 +458,8 @@ def test_certified_minimization_matches_greedy_oracle(instance, draws):
         g = b.ground
         full = g.full_mask
         ch = _chainer(b)
-        keys = brute_force_keys(b)
-        superkeys = [keys[d % len(keys)].mask | (d & full) for d in draws]
+        keys = brute_keys(b)
+        superkeys = [keys[d % len(keys)] | (d & full) for d in draws]
         expected = {
             s: greedy_minimize(b, ElemSet(g, s).labels()) for s in {*superkeys, full}
         }
@@ -592,7 +585,7 @@ def test_check_modular_matches_oracle(instance):
 def test_check_independent_matches_oracle(instance, pick):
     base, _ = instance
     subset = ElemSet(base.ground, pick & base.ground.full_mask)
-    res = check_independent(base, subset)
+    res = _check_independent(base, subset.mask, None)
     assert res.ok == naive_independent(base, subset.labels())
     if not res.ok:
         y1, y2 = (s.mask for s in res.witness)
@@ -673,7 +666,7 @@ def test_has_d_cycle_matches_oracle(instance):
 
 # Non-empty, whitespace-free text, often near the format's own tokens;
 # GroundSet is the judge of the rest.
-LABEL = st.sampled_from(["->", "#", "a#b", "-", ">", "imp:", "edge:", "elements:"]) | st.text(
+LABEL = st.sampled_from(["->", "#", "a#b", "a,b", "-", ">", "imp:", "edge:", "elements:"]) | st.text(
     min_size=1, max_size=3
 ).filter(lambda s: s.split() == [s])
 
@@ -684,7 +677,7 @@ def test_format_parse_round_trip(labels, data):
     try:
         g = GroundSet(labels)
     except ValueError:
-        bad = [lab for lab in labels if "#" in lab or lab == "->"]
+        bad = [lab for lab in labels if "#" in lab or "," in lab or lab == "->"]
         assert bad
         return
     element = st.integers(0, g.n - 1)
